@@ -7,7 +7,6 @@ Hilbert series, and brute-force finite-field verification oracles.
 from .errors import (
     AmbiguousLowDegree,
     BadCase,
-    BoundTooSmall,
     DegenerateEdge,
     FieldMismatch,
     InvalidDegreeWeight,

@@ -174,7 +174,7 @@ def cmd_cover(args, parser):
 
 def cmd_truncate(args, parser):
     a, d = args.weights, args.d
-    gens = veronese_generators(a, d, args.bound)
+    gens = veronese_generators(a, d)
     names = variable_names(len(a))
     gen_strs = [monomial_string(g, names) for g in gens]
     regraded = regraded_degrees(gens, a, d)
@@ -372,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", type=_weight_arg, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--poly")
-    p.add_argument("--bound", type=int, help="generator search degree bound")
     p.set_defaults(func=cmd_truncate, cmdname="truncate")
 
     p = sub.add_parser("straighten", parents=[common], help="carry an ideal through well-forming")

@@ -41,10 +41,6 @@ class BadCase(WPSError):
     code = "E_BAD_CASE"
 
 
-class BoundTooSmall(WPSError):
-    code = "E_BOUND_TOO_SMALL"
-
-
 class NotWellFormed(WPSError):
     code = "E_NOT_WELL_FORMED"
 

@@ -157,8 +157,9 @@ def verify_veronese(a: Weight, d: int, p: int | None = None, cap: int | None = N
     """Every monomial of degree k*d up to the cap factors into the generators.
 
     The check is purely combinatorial; p is accepted only so manifest lines
-    share one shape.  The cap bounds the degrees checked, not the generator
-    search, which always runs to the module's default bound.
+    share one shape.  The cap (default `default_degree_bound`) bounds the
+    degrees scanned here; the generators themselves come from the finite
+    box of `veronese_generators` and need no bound.
     """
     a = check_weight(a)
     gens = veronese_generators(a, d)

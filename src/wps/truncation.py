@@ -6,9 +6,10 @@ Grading convention: an element of degree d*i in R has degree i in R^(d).
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
 
-from .errors import BadCase, BoundTooSmall, NotHomogeneous
+from .errors import BadCase, Mismatch, NotHomogeneous, TooLarge
 from .weights import Weight, WellFormStep, WellFormTrace, check_weight, well_form
 from .wpoly import (
     Monomial,
@@ -23,6 +24,8 @@ from .wpoly import (
 TAG_UNCHANGED = "unchanged-regraded"
 TAG_REEXPRESSED = "re-expressed"
 TAG_POWER_RAISED = "power-raised"
+
+_MAX_BOX = 10**6
 
 
 def graded_piece_basis(a, d: int) -> list[Monomial]:
@@ -47,6 +50,7 @@ def graded_piece_basis(a, d: int) -> list[Monomial]:
 
 
 def default_degree_bound(a: Weight, d: int) -> int:
+    """Default top degree of the brute-force factorization check."""
     return d * lcm(*a) * len(a)
 
 
@@ -54,27 +58,36 @@ def _divides(g: Monomial, m: Monomial) -> bool:
     return all(gi <= mi for gi, mi in zip(g, m))
 
 
-def veronese_generators(a: Weight, d: int, degree_bound: int | None = None) -> list[Monomial]:
+def veronese_generators(a: Weight, d: int) -> list[Monomial]:
     """Minimal generating monomials of {e : weighted degree divisible by d}.
 
-    A monomial is a generator iff no previously found generator divides it;
-    scanning degrees upward makes that the monoid-theoretic minimality.
-    Completeness is only guaranteed up to degree_bound.
+    With d_i = d / gcd(a_i, d), every minimal generator is either the pure
+    power d_i*u_i or lies in the box e_i < d_i: if e_i >= d_i, then
+    e - d_i*u_i still has degree divisible by d, so d_i*u_i divides e.  The
+    candidates are therefore the n pure powers and the nonzero box vectors
+    of degree divisible by d.  Taken in (degree, colex) order, a candidate
+    is a generator iff no earlier generator divides it, so the list is
+    complete and ordered by degree, then colex.  Raises TooLarge when the
+    box holds more than _MAX_BOX vectors.
     """
     a = check_weight(a)
     if d < 1:
         raise ValueError("truncation step must be >= 1")
-    if degree_bound is None:
-        degree_bound = default_degree_bound(a, d)
-    if degree_bound < d * max(a):
-        raise BoundTooSmall(
-            f"degree bound {degree_bound} is below d*max(a) = {d * max(a)}"
-        )
+    di = [d // gcd(x, d) for x in a]
+    if prod(di) > _MAX_BOX:
+        raise TooLarge(f"Veronese box of {prod(di)} vectors exceeds the scan limit")
+    n = len(a)
+    candidates = [tuple(di[i] if k == i else 0 for k in range(n)) for i in range(n)]
+    candidates += [
+        e
+        for e in product(*(range(m) for m in di))
+        if any(e) and monomial_degree(e, a) % d == 0
+    ]
+    candidates.sort(key=lambda e: (monomial_degree(e, a), monomial_key(e)))
     gens: list[Monomial] = []
-    for delta in range(d, degree_bound + 1, d):
-        for m in graded_piece_basis(a, delta):
-            if not any(_divides(g, m) for g in gens):
-                gens.append(m)
+    for m in candidates:
+        if not any(_divides(g, m) for g in gens):
+            gens.append(m)
     return gens
 
 
@@ -147,10 +160,17 @@ class GradedPresentation:
         self.generator_names = list(generator_names)
         self.relations = list(relations)
         self.relation_degrees = list(relation_degrees)
-        assert len(self.relations) == len(self.relation_degrees)
+        if len(self.relations) != len(self.relation_degrees):
+            raise Mismatch(
+                f"{len(self.relations)} relations but {len(self.relation_degrees)} degrees"
+            )
         for rel, deg in zip(self.relations, self.relation_degrees):
-            assert tuple(rel.weight) == self.weight, (rel.weight, self.weight)
-            assert is_weighted_homogeneous(rel) == deg, (rel, deg)
+            if tuple(rel.weight) != self.weight:
+                raise Mismatch(f"relation weight {rel.weight} does not match {self.weight}")
+            if is_weighted_homogeneous(rel) != deg:
+                raise NotHomogeneous(
+                    f"relation {rel.to_string()} is not homogeneous of degree {deg}"
+                )
 
     def as_dict(self) -> dict:
         return {
@@ -194,7 +214,8 @@ def straighten_chain(
         steps.append(
             WellFormStep(step.case, step.d, step.spared, step.before, step.after, tag)
         )
-    assert tuple(cur.weight) == final_weight
+    if tuple(cur.weight) != final_weight:
+        raise Mismatch(f"straightened weight {cur.weight} does not match {final_weight}")
     names = [monomial_string(g, variable_names(n)) for g in gen_exponents]
     degree = is_weighted_homogeneous(cur)
     presentation = GradedPresentation(final_weight, names, [cur], [degree])

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -292,6 +293,14 @@ def test_json_error_envelope(capsys):
     assert payload["error"]["code"] == "E_GENUS_NONINT"
     assert "1/4" in payload["error"]["message"]
     assert "data" not in payload
+
+
+def test_truncate_box_too_large(capsys):
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "truncate", "--weights", "1,1,1", "--d", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert payload["error"]["code"] == "E_TOO_LARGE"
 
 
 def test_json_env_var(capsys, monkeypatch):

@@ -1,8 +1,10 @@
 import random
+from math import factorial, gcd, lcm, prod
 
 import pytest
 
-from wps.errors import BadCase, BoundTooSmall, NotHomogeneous
+from wps.errors import BadCase, Mismatch, NotHomogeneous
+from wps.oracle import verify_veronese
 from wps.parser import parse_polynomial
 from wps.truncation import (
     GradedPresentation,
@@ -85,10 +87,61 @@ def test_veronese_generators_are_minimal():
 
 def test_veronese_bound_guards():
     assert default_degree_bound((1, 1), 2) == 4
-    with pytest.raises(BoundTooSmall, match="below d\\*max"):
-        veronese_generators((6, 10, 15), 5, degree_bound=60)
     with pytest.raises(ValueError):
         veronese_generators((1, 1), 0)
+
+
+def _degree_scan(a, d):
+    """The degree-by-degree search up to d*lcm(a)*n: every monomial of
+    degree divisible by d, kept when no earlier kept monomial divides it."""
+    gens = []
+    for delta in range(d, d * lcm(*a) * len(a) + 1, d):
+        for m in graded_piece_basis(a, delta):
+            if not any(all(x <= y for x, y in zip(g, m)) for g in gens):
+                gens.append(m)
+    return gens
+
+
+def test_veronese_generators_match_degree_scan_randomized():
+    rng = random.Random(2016)
+    for n in (2, 3, 4):
+        checked = 0
+        while checked < 40:
+            a = tuple(rng.randrange(1, 10) for _ in range(n))
+            d = rng.randrange(1, 8)
+            # about the number of vectors the scan visits; keeps it small
+            if (d * lcm(*a) * n) ** (n + 1) / (factorial(n + 1) * prod(a) * d) > 2e4:
+                continue
+            assert veronese_generators(a, d) == _degree_scan(a, d), (a, d)
+            checked += 1
+
+
+def test_veronese_generators_pure_power_or_in_box():
+    rng = random.Random(7)
+    for _ in range(100):
+        a = tuple(rng.randrange(1, 10) for _ in range(rng.randrange(2, 5)))
+        d = rng.randrange(1, 8)
+        n = len(a)
+        di = [d // gcd(x, d) for x in a]
+        powers = {tuple(di[i] if k == i else 0 for k in range(n)) for i in range(n)}
+        for g in veronese_generators(a, d):
+            assert monomial_degree(g, a) % d == 0
+            assert g in powers or all(e < m for e, m in zip(g, di)), (a, d, g)
+
+
+def test_veronese_generators_past_the_old_scan():
+    assert veronese_generators((2, 3, 5), 7) == [
+        (2, 1, 0), (1, 0, 1), (7, 0, 0), (1, 4, 0), (0, 3, 1),
+        (0, 7, 0), (0, 2, 3), (0, 1, 5), (0, 0, 7),
+    ]
+    assert veronese_generators((7, 11, 13), 17) == [
+        (3, 0, 1), (1, 4, 0), (2, 1, 2), (5, 3, 0), (0, 5, 1), (1, 2, 3), (9, 2, 0),
+        (0, 3, 4), (1, 0, 6), (13, 1, 0), (0, 1, 7), (17, 0, 0), (0, 17, 0), (0, 0, 17),
+    ]
+    assert len(veronese_generators((1, 4, 5, 6, 7), 3)) == 15
+    report = verify_veronese((1, 4, 5, 6, 7), 3, None, 42)
+    assert report["checked"] == 1602
+    assert report["failures"] == []
 
 
 # === regrading ===
@@ -220,5 +273,9 @@ def test_straighten_chain_guards():
 
 def test_presentation_validates_relations():
     rel = parse_polynomial("x + y + z", (1, 1, 1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(NotHomogeneous, match="not homogeneous of degree 2"):
         GradedPresentation((1, 1, 1), ["x", "y", "z"], [rel], [2])
+    with pytest.raises(Mismatch, match="1 relations but 2 degrees"):
+        GradedPresentation((1, 1, 1), ["x", "y", "z"], [rel], [1, 1])
+    with pytest.raises(Mismatch, match="does not match"):
+        GradedPresentation((1, 1, 2), ["x", "y", "z"], [rel], [1])
