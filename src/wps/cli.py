@@ -436,26 +436,16 @@ def main(argv=None) -> int:
     command = getattr(args, "cmdname", getattr(args, "command", "?"))
     try:
         ok, lines, data = args.func(args, parser)
-    except WPSError as exc:
-        payload = {"command": command, "ok": False, "error": {"code": exc.code, "message": str(exc)}}
-        if json_mode:
-            print(json.dumps(payload))
+    except (WPSError, ValueError, OSError) as exc:
+        if isinstance(exc, WPSError):
+            code = exc.code
         else:
-            print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        payload = {"command": command, "ok": False, "error": {"code": "E_VALUE", "message": str(exc)}}
+            code = "E_VALUE" if isinstance(exc, ValueError) else "E_IO"
         if json_mode:
-            print(json.dumps(payload))
+            error = {"code": code, "message": str(exc)}
+            print(json.dumps({"command": command, "ok": False, "error": error}))
         else:
-            print(f"error[E_VALUE]: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        payload = {"command": command, "ok": False, "error": {"code": "E_IO", "message": str(exc)}}
-        if json_mode:
-            print(json.dumps(payload))
-        else:
-            print(f"error[E_IO]: {exc}", file=sys.stderr)
+            print(f"error[{code}]: {exc}", file=sys.stderr)
         return 1
     _emit(json_mode, command, ok, lines, data)
     return 0 if ok else 1

@@ -11,8 +11,10 @@ from math import gcd, prod
 from .errors import (
     DegenerateEdge,
     InvalidDegreeWeight,
+    Mismatch,
     NonIntegerGenus,
     NotAConePoint,
+    NotHomogeneous,
     NotSufficientlyGeneral,
     NotWellFormed,
 )
@@ -27,7 +29,6 @@ from .wpoly import (
     restrict_to_edge,
     variable_names,
 )
-from .errors import NotHomogeneous
 
 
 class PlaneCurve:
@@ -114,7 +115,8 @@ def vertex_membership(c: PlaneCurve) -> tuple[bool, bool, bool]:
         claimed = c.degree % ai != 0
         vertex = [field.one if k == i else field.zero for k in range(3)]
         evaluated = evaluate(c.poly, vertex) == field.zero
-        assert claimed == evaluated, f"vertex rule disagrees with evaluation at p_{i}"
+        if claimed != evaluated:
+            raise Mismatch(f"vertex rule disagrees with evaluation at p_{i}")
         out.append(claimed)
     return tuple(out)
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import Mismatch, NotAConePoint, NotOnPatch, PrimeUnsuitable, Unsupported
+from .errors import FieldMismatch, Mismatch, NotAConePoint, NotOnPatch, PrimeUnsuitable, Unsupported
 from .exactmath import QQ, FpElem, PrimeField
 from .weights import Weight, check_weight
 
@@ -56,10 +56,21 @@ def eq_geometric(p: WPoint, q: WPoint) -> bool:
     weights and may overclaim otherwise (checked empirically by the oracle).
     """
     _check_pair(p, q)
-    if p.support() != q.support():
-        return False
     a = p.weight
     n = len(a)
+    if isinstance(p.field, PrimeField):
+        m = p.field.p
+        x = [c.value for c in p.coords]
+        y = [c.value for c in q.coords]
+        if [v != 0 for v in x] != [v != 0 for v in y]:
+            return False
+        for i in range(n):
+            for k in range(i + 1, n):
+                if pow(x[i], a[k], m) * pow(y[k], a[i], m) % m != pow(x[k], a[i], m) * pow(y[i], a[k], m) % m:
+                    return False
+        return True
+    if p.support() != q.support():
+        return False
     for i in range(n):
         for k in range(i + 1, n):
             if p.coords[i] ** a[k] * q.coords[k] ** a[i] != p.coords[k] ** a[i] * q.coords[i] ** a[k]:
@@ -72,9 +83,11 @@ def eq_rational(p: WPoint, q: WPoint) -> bool:
     _check_pair(p, q)
     a = p.weight
     if isinstance(p.field, PrimeField):
+        m = p.field.p
+        terms = [(ai, x.value, y.value) for ai, x, y in zip(a, p.coords, q.coords)]
         return any(
-            all(lam ** a[i] * p.coords[i] == q.coords[i] for i in range(len(a)))
-            for lam in p.field.units()
+            all(pow(lam, ai, m) * x % m == y for ai, x, y in terms)
+            for lam in range(1, m)
         )
     if p.support() != q.support():
         return False
@@ -89,6 +102,16 @@ def eq_rational(p: WPoint, q: WPoint) -> bool:
     return all(lam ** a[i] * p.coords[i] == q.coords[i] for i in range(len(a)))
 
 
+def _scalings(ai: int, c: int, p: int) -> tuple[int, ...]:
+    """lambda^{a_i} * c mod p for lambda = 1, ..., p - 1: one coordinate's orbit column."""
+    return tuple(pow(lam, ai, p) * c % p for lam in range(1, p))
+
+
+def _orbit_min(columns: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Lexicographically smallest lambda-scaling, given every coordinate's `_scalings`."""
+    return min(zip(*columns))
+
+
 def normalize(p: WPoint) -> tuple[WPoint, bool]:
     """Canonical orbit representative plus a flag telling whether it is one.
 
@@ -98,10 +121,8 @@ def normalize(p: WPoint) -> tuple[WPoint, bool]:
     """
     a = p.weight
     if isinstance(p.field, PrimeField):
-        best = min(
-            (tuple((lam ** a[i] * c).value for i, c in enumerate(p.coords)))
-            for lam in p.field.units()
-        )
+        m = p.field.p
+        best = _orbit_min([_scalings(ai, c.value, m) for ai, c in zip(a, p.coords)])
         return WPoint(a, best, p.field), True
     anchor = next(
         (i for i in range(len(a)) if a[i] == 1 and p.coords[i] != p.field.zero), None
@@ -124,14 +145,15 @@ def cover_project(y: WPoint, target_weight: Weight) -> WPoint:
 def roots_of_unity(p: int, n: int) -> list[FpElem]:
     """All solutions of x^n = 1 in F_p (all n of them when p = 1 mod n)."""
     field = PrimeField(p)
-    return [x for x in field.units() if x**n == field.one]
+    return [field.coerce(x) for x in range(1, p) if pow(x, n, p) == 1]
 
 
-def _group_elements(a: Weight, p: int) -> list[tuple[FpElem, ...]]:
+def _group_elements(a: Weight, p: int) -> list[tuple[int, ...]]:
+    """The elements of mu^{a_0} x ... x mu^{a_n} inside (F_p^*)^{n+1}, as residues."""
     for ai in a:
         if (p - 1) % ai != 0:
             raise PrimeUnsuitable(f"p = {p} is not 1 mod {ai}; mu^{ai} not inside F_p*")
-    return [tuple(g) for g in product(*(roots_of_unity(p, ai) for ai in a))]
+    return list(product(*([r.value for r in roots_of_unity(p, ai)] for ai in a)))
 
 
 def stabilizer_order(y: WPoint, a: Weight, p: int) -> int:
@@ -142,7 +164,7 @@ def stabilizer_order(y: WPoint, a: Weight, p: int) -> int:
     count = 0
     supp = y.support()
     for g in _group_elements(a, p):
-        if len({g[i].value for i in supp}) == 1:
+        if len({g[i] for i in supp}) == 1:
             count += 1
     return count
 
@@ -152,12 +174,17 @@ def orbit(y: WPoint, a: Weight, p: int) -> list[WPoint]:
     a = check_weight(a)
     if y.weight != (1,) * len(a):
         raise Mismatch(f"orbits act on straight points, got weight {y.weight}")
+    elements = _group_elements(a, p)
+    if y.field != PrimeField(p):
+        raise FieldMismatch(f"orbit over F_{p} of a point over {y.field}")
+    x = [c.value for c in y.coords]
     seen = set()
-    for g in _group_elements(a, p):
-        moved = WPoint(y.weight, tuple(s * c for s, c in zip(g, y.coords)), y.field)
-        rep, _ = normalize(moved)
-        seen.add(rep.coords)
-    return [WPoint(y.weight, cs, y.field) for cs in sorted(seen, key=lambda cs: tuple(c.value for c in cs))]
+    for g in elements:
+        moved = [s * c % p for s, c in zip(g, x)]
+        # with all weights 1 the orbit minimum scales the first nonzero coordinate to 1
+        inv = pow(next(v for v in moved if v), -1, p)
+        seen.add(tuple(v * inv % p for v in moved))
+    return [WPoint(y.weight, cs, y.field) for cs in sorted(seen)]
 
 
 def patch_representative(x: WPoint, i: int) -> list:

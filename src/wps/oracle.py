@@ -1,9 +1,9 @@
 """Independent consistency checks over small finite fields.
 
 The ground truth for point equality is equivalence under the full scaling
-action over an algebraic closure, decided exactly by a discrete-log
-congruence scan; the geometric and orbit machinery is verified against it.
-A manifest file drives batches of checks.
+action over an algebraic closure, decided exactly by one discrete-log
+class key per vector; the geometric and orbit machinery is verified against
+it.  A manifest file drives batches of checks.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from math import gcd, lcm, prod
 from .curves import PlaneCurve
 from .errors import TooLarge
 from .exactmath import PrimeField
-from .geometry import WPoint, eq_geometric, normalize, orbit, stabilizer_order
+from .geometry import WPoint, _orbit_min, _scalings, eq_geometric, orbit, stabilizer_order
 from .parser import parse_polynomial
 from .truncation import (
     default_degree_bound,
@@ -40,22 +40,32 @@ def _all_vectors(a: Weight, p: int):
 
 
 def enumerate_wps_points(a: Weight, p: int) -> list[WPoint]:
-    """One canonical representative per scaling orbit, sorted."""
+    """One canonical representative per scaling orbit, sorted.
+
+    A vector is kept iff it is the minimum of its orbit (the `normalize`
+    representative); the scan is lexicographic, so the output is sorted.
+    """
     a = check_weight(a)
     field = PrimeField(p)
-    seen: dict[tuple[int, ...], None] = {}
-    for vec in _all_vectors(a, p):
-        rep, _ = normalize(WPoint(a, vec, field))
-        seen.setdefault(tuple(c.value for c in rep.coords), None)
-    return [WPoint(a, key, field) for key in sorted(seen)]
+    columns = [[_scalings(ai, c, p) for c in range(p)] for ai in a]
+    return [
+        WPoint(a, vec, field)
+        for vec in _all_vectors(a, p)
+        if _orbit_min([col[c] for col, c in zip(columns, vec)]) == vec
+    ]
 
 
 class ClosureEquality:
     """Decide lambda-scaling equivalence over the algebraic closure of F_p.
 
     A solution lambda with lambda^(a_i) = y_i/x_i has p-free order dividing
-    M = p-free part of (p-1)*lcm(a), so scanning exponents modulo M against
-    discrete logs in F_p^* is complete.
+    M = p-free part of (p-1)*lcm(a), so exponents modulo M against discrete
+    logs in F_p^* decide it completely.  Each vector gets a class key: its
+    support S, plus the lexicographically smallest member of the coset
+    L_x + <(a_i)_{i in S}> in Z_M^S, where L_x holds the discrete logs of
+    the x_i scaled into Z_M.  Two vectors are equivalent iff their keys are
+    equal.  A key costs O(n log M) gcd steps, so N vectors are classified
+    in O(N*n*log M) instead of an O(M) scan for each of the O(N^2) pairs.
     """
 
     def __init__(self, a: Weight, p: int):
@@ -75,29 +85,44 @@ class ClosureEquality:
             big //= p
         self.M = big
 
+    def key(self, x: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(support, least member of L_x + <(a_i)_{i in S}>) for a vector x.
+
+        The least member is fixed one coordinate at a time: the shifts t
+        that keep the coordinates so far at their minima form the coset
+        t0 + <step> of Z_M, and over it coordinate i takes the values
+        c + g*Z, g = gcd(step*a_i, M), whose least residue is c mod g.
+        """
+        p, M = self.p, self.M
+        k = M // self.m
+        support = tuple(i for i in range(len(self.a)) if x[i] % p != 0)
+        t0, step, least = 0, 1, []
+        for i in support:
+            c = (self._dlog[x[i] % p] * k + t0 * self.a[i]) % M
+            r = step * self.a[i] % M
+            g = gcd(r, M)
+            n = M // g
+            t0 = (t0 - c // g * pow(r // g, -1, n) * step) % M
+            step = gcd(step * n, M)
+            least.append(c % g)
+        return support, tuple(least)
+
     def equal(self, x: tuple[int, ...], y: tuple[int, ...]) -> bool:
-        p, a, M, m = self.p, self.a, self.M, self.m
-        support = [i for i in range(len(a)) if x[i] % p != 0]
-        if support != [i for i in range(len(a)) if y[i] % p != 0]:
-            return False
-        k = M // m
-        targets = [
-            (self._dlog[y[i] * pow(x[i], -1, p) % p] * k) % M for i in support
-        ]
-        strides = [a[i] % M for i in support]
-        for t in range(M):
-            if all((t * s) % M == g for s, g in zip(strides, targets)):
-                return True
-        return False
+        return self.key(x) == self.key(y)
 
 
 def verify_point_equality(a: Weight, p: int, max_recorded: int = 20) -> dict:
-    """Compare eq_geometric with the closure oracle over every vector pair."""
+    """Compare eq_geometric with the closure oracle over every vector pair.
+
+    Closure keys are computed once per vector; each of the n(n+1)/2 pairs
+    compares two keys and calls eq_geometric.
+    """
     a = check_weight(a)
     field = PrimeField(p)
     oracle = ClosureEquality(a, p)
     vectors = list(_all_vectors(a, p))
     points = [WPoint(a, vec, field) for vec in vectors]
+    keys = [oracle.key(vec) for vec in vectors]
     pairs = 0
     mismatch_count = 0
     mismatches = []
@@ -105,7 +130,7 @@ def verify_point_equality(a: Weight, p: int, max_recorded: int = 20) -> dict:
         for j in range(i, len(vectors)):
             pairs += 1
             geo = eq_geometric(points[i], points[j])
-            truth = oracle.equal(vectors[i], vectors[j])
+            truth = keys[i] == keys[j]
             if geo != truth:
                 mismatch_count += 1
                 if len(mismatches) < max_recorded:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from math import gcd, prod
 
-from .errors import ParseError
+from .errors import BadCase, Mismatch, ParseError
 from .exactmath import prime_factors
 
 Weight = tuple[int, ...]
@@ -55,7 +55,8 @@ class WellFormStep:
         after: Weight,
         ideal_note: str | None = None,
     ):
-        assert case in ("I", "II"), case
+        if case not in ("I", "II"):
+            raise BadCase(f"well-forming step case must be 'I' or 'II', got {case!r}")
         self.case = case
         self.d = d
         self.spared = spared
@@ -83,7 +84,8 @@ class WellFormTrace:
 
     def __init__(self, steps: list[WellFormStep]):
         for prev, nxt in zip(steps, steps[1:]):
-            assert prev.after == nxt.before, (prev, nxt)
+            if prev.after != nxt.before:
+                raise Mismatch(f"steps do not chain: {prev} then {nxt}")
         self.steps = steps
 
     def __iter__(self):
@@ -143,9 +145,11 @@ def well_form(a: Weight, prime_steps: bool = False) -> tuple[Weight, WellFormTra
         cur = new
     while not is_well_formed(cur):
         cands = _case_two_candidates(cur, prime_steps)
-        assert cands, f"no case-II step applies to non-well-formed {cur}"
+        if not cands:
+            raise Mismatch(f"no case-II step applies to non-well-formed {cur}")
         new, j, d = max(cands, key=lambda c: (c[0], -c[1], c[2]))
         steps.append(WellFormStep("II", d, j, cur, new))
         cur = new
-    assert prod(cur) <= prod(check_weight(a))
+    if prod(cur) > prod(check_weight(a)):
+        raise Mismatch(f"well-forming grew the entry product: {a} -> {cur}")
     return cur, WellFormTrace(steps)

@@ -8,11 +8,13 @@ import pytest
 from wps.errors import (
     DegenerateEdge,
     InvalidDegreeWeight,
+    Mismatch,
     NotAConePoint,
     NotHomogeneous,
     NotSufficientlyGeneral,
     NotWellFormed,
 )
+import wps.curves
 from wps.curves import (
     PlaneCurve,
     branch_census,
@@ -100,6 +102,14 @@ def test_vertex_membership():
     assert vertex_membership(C7) == (False, True, True)
     with pytest.raises(NotSufficientlyGeneral, match="clause \\(ii\\) fails at i=2"):
         vertex_membership(curve("x^7 + x*y^3", (1, 2, 3)))
+
+
+def test_vertex_membership_cross_check(monkeypatch):
+    # x*y*z vanishes at every vertex although 1 | 3; only a curve that
+    # slipped past the generality check can reach the cross-check
+    monkeypatch.setattr(wps.curves, "sufficiently_general", lambda c: (True, []))
+    with pytest.raises(Mismatch, match="disagrees with evaluation at p_0"):
+        vertex_membership(curve("x*y*z", (1, 1, 1)))
 
 
 def test_is_singular_at():

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from wps.errors import Mismatch, NotAConePoint, NotOnPatch, PrimeUnsuitable, Unsupported
+from wps.errors import FieldMismatch, Mismatch, NotAConePoint, NotOnPatch, PrimeUnsuitable, Unsupported
 from wps.exactmath import FpElem, PrimeField, QQ
 from wps.geometry import (
     WPoint,
@@ -203,6 +204,89 @@ def test_group_needs_suitable_prime():
         stabilizer_order(y, (1, 2, 3), 5)
     with pytest.raises(Mismatch):
         stabilizer_order(WPoint((1, 2, 3), [1, 1, 1], F7), (1, 2, 3), 7)
+    with pytest.raises(FieldMismatch):
+        orbit(WPoint((1, 1, 1), [1, 1, 1], F13), (1, 2, 3), 7)
+
+
+# === the int-residue F_p paths against FpElem reference copies ===
+
+
+def _ref_normalize(x):
+    a = x.weight
+    best = min(
+        tuple((lam ** a[i] * c).value for i, c in enumerate(x.coords))
+        for lam in x.field.units()
+    )
+    return WPoint(a, best, x.field)
+
+
+def _ref_eq_rational(x, y):
+    a = x.weight
+    return any(
+        all(lam ** a[i] * x.coords[i] == y.coords[i] for i in range(len(a)))
+        for lam in x.field.units()
+    )
+
+
+def _ref_group(a, p):
+    field = PrimeField(p)
+    roots = [[u for u in field.units() if u**ai == field.one] for ai in a]
+    return list(product(*roots))
+
+
+def _ref_orbit(y, a, p):
+    seen = set()
+    for g in _ref_group(a, p):
+        moved = WPoint(y.weight, tuple(s * c for s, c in zip(g, y.coords)), y.field)
+        seen.add(_ref_normalize(moved).coords)
+    ordered = sorted(seen, key=lambda cs: tuple(c.value for c in cs))
+    return [WPoint(y.weight, cs, y.field) for cs in ordered]
+
+
+def _ref_stabilizer(y, a, p):
+    supp = y.support()
+    return sum(len({g[i].value for i in supp}) == 1 for g in _ref_group(a, p))
+
+
+def _random_point(rng, a, field):
+    coords = [rng.randrange(field.p) for _ in a]
+    if not any(coords):
+        coords[rng.randrange(len(a))] = 1
+    return WPoint(a, coords, field)
+
+
+# p = 2 and weights sharing a factor with p - 1 are included on purpose
+FP_CASES = [((1, 1), 2), ((3, 5, 2), 2), ((2, 4), 5), ((2, 2, 3), 7), ((3, 6, 4), 13), ((1, 2, 3), 7)]
+
+
+def test_fp_normalize_and_eq_rational_match_reference():
+    rng = random.Random(20161104)
+    drawn = [
+        (tuple(rng.randint(1, 6) for _ in range(rng.randint(2, 4))), rng.choice([2, 3, 5, 7, 11, 13]))
+        for _ in range(24)
+    ]
+    for a, p in FP_CASES + drawn:
+        field = PrimeField(p)
+        for _ in range(12):
+            x = _random_point(rng, a, field)
+            rep, canonical = normalize(x)
+            assert canonical and rep == _ref_normalize(x), (a, p, x)
+            lam = FpElem(rng.randrange(1, p), p)
+            scaled = WPoint(a, [lam ** ai * c for ai, c in zip(a, x.coords)], field)
+            for y in (scaled, _random_point(rng, a, field)):
+                assert eq_rational(x, y) == _ref_eq_rational(x, y), (a, p, x, y)
+
+
+def test_fp_orbit_and_stabilizer_match_reference():
+    rng = random.Random(20161105)
+    for p in (2, 5, 7, 13):
+        divisors = [k for k in range(1, p) if (p - 1) % k == 0]
+        field = PrimeField(p)
+        for _ in range(6):
+            a = tuple(rng.choice(divisors) for _ in range(rng.randint(2, 3)))
+            y = _random_point(rng, (1,) * len(a), field)
+            assert orbit(y, a, p) == _ref_orbit(y, a, p), (a, p, y)
+            assert stabilizer_order(y, a, p) == _ref_stabilizer(y, a, p), (a, p, y)
 
 
 # === affine patches ===

@@ -1,10 +1,14 @@
+import random
+from itertools import product
+from math import lcm
 from pathlib import Path
 
 import pytest
 
 from wps.curves import PlaneCurve
 from wps.errors import PrimeUnsuitable, TooLarge
-from wps.geometry import eq_geometric, eq_rational, normalize
+from wps.exactmath import PrimeField
+from wps.geometry import WPoint, eq_geometric, eq_rational, normalize
 from wps.oracle import (
     ClosureEquality,
     enumerate_wps_points,
@@ -75,6 +79,128 @@ def test_closure_equality_direct():
     assert eq.equal((1, 1, 1), (2, 2, 4))
     assert not eq.equal((1, 1, 1), (1, 1, 2))
     assert not eq.equal((1, 0, 1), (1, 1, 1)), "supports differ"
+
+
+# FpElem reference copies of the per-pair closure scan, the binomial test and
+# the orbit enumeration that class keys and int residues replaced
+
+
+class _ScanEquality:
+    def __init__(self, a, p):
+        self.a, self.p, self.m = a, p, p - 1
+        g0 = PrimeField(p).primitive_root().value
+        self.dlog = {pow(g0, e, p): e for e in range(self.m)}
+        big = self.m * lcm(*a)
+        while big % p == 0:
+            big //= p
+        self.M = big
+
+    def least(self, x):
+        support = [i for i in range(len(self.a)) if x[i] % self.p != 0]
+        logs = [self.dlog[x[i] % self.p] * (self.M // self.m) for i in support]
+        return min(
+            tuple((g + t * self.a[i]) % self.M for g, i in zip(logs, support))
+            for t in range(self.M)
+        )
+
+    def equal(self, x, y):
+        p, a, M, m = self.p, self.a, self.M, self.m
+        support = [i for i in range(len(a)) if x[i] % p != 0]
+        if support != [i for i in range(len(a)) if y[i] % p != 0]:
+            return False
+        k = M // m
+        targets = [(self.dlog[y[i] * pow(x[i], -1, p) % p] * k) % M for i in support]
+        strides = [a[i] % M for i in support]
+        return any(
+            all((t * s) % M == g for s, g in zip(strides, targets)) for t in range(M)
+        )
+
+
+def _ref_eq_geometric(x, y):
+    if x.support() != y.support():
+        return False
+    a, n = x.weight, len(x.weight)
+    return all(
+        x.coords[i] ** a[k] * y.coords[k] ** a[i] == x.coords[k] ** a[i] * y.coords[i] ** a[k]
+        for i in range(n)
+        for k in range(i + 1, n)
+    )
+
+
+def _ref_point_equality(a, p, max_recorded=20):
+    field = PrimeField(p)
+    oracle = _ScanEquality(a, p)
+    vectors = [v for v in product(range(p), repeat=len(a)) if any(v)]
+    points = [WPoint(a, v, field) for v in vectors]
+    pairs = mismatch_count = 0
+    mismatches = []
+    for i in range(len(vectors)):
+        for j in range(i, len(vectors)):
+            pairs += 1
+            geo = _ref_eq_geometric(points[i], points[j])
+            truth = oracle.equal(vectors[i], vectors[j])
+            if geo != truth:
+                mismatch_count += 1
+                if len(mismatches) < max_recorded:
+                    mismatches.append(
+                        {"x": list(vectors[i]), "y": list(vectors[j]), "geometric": geo, "closure": truth}
+                    )
+    return {"weights": list(a), "p": p, "pairs": pairs, "mismatch_count": mismatch_count, "mismatches": mismatches}
+
+
+def _ref_enumerate(a, p):
+    field = PrimeField(p)
+    reps = set()
+    for v in product(range(p), repeat=len(a)):
+        if any(v):
+            x = WPoint(a, v, field)
+            reps.add(min(tuple((lam ** ai * c).value for ai, c in zip(a, x.coords)) for lam in field.units()))
+    return [WPoint(a, r, field) for r in sorted(reps)]
+
+
+NONCOPRIME = [((2, 2, 3), 7), ((1, 2, 2), 5), ((4, 6), 7)]
+
+
+@pytest.mark.parametrize("a, p", [((1, 1, 2), 5), ((1, 2, 3), 7)] + NONCOPRIME)
+def test_closure_key_matches_pair_scan(a, p):
+    eq = ClosureEquality(a, p)
+    ref = _ScanEquality(a, p)
+    vectors = [v for v in product(range(p), repeat=len(a)) if any(v)]
+    keys = [eq.key(v) for v in vectors]
+    for x, (_, least) in zip(vectors, keys):
+        assert least == ref.least(x), x
+    for i, x in enumerate(vectors):
+        for j in range(i, len(vectors)):
+            assert (keys[i] == keys[j]) == ref.equal(x, vectors[j]), (x, vectors[j])
+
+
+def test_closure_key_is_least_coset_member():
+    rng = random.Random(20161107)
+    for _ in range(30):
+        a = tuple(rng.randint(1, 6) for _ in range(rng.randint(2, 4)))
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        eq, ref = ClosureEquality(a, p), _ScanEquality(a, p)
+        for _ in range(8):
+            x = tuple(rng.randrange(p) for _ in a)
+            assert eq.key(x)[1] == ref.least(x), (a, p, x)
+
+
+@pytest.mark.parametrize("a, p", NONCOPRIME)
+def test_point_equality_report_matches_pair_scan(a, p):
+    # the mismatches themselves are the known eq_geometric overclaim on
+    # non-coprime weights; only agreement with the old scan is pinned
+    assert verify_point_equality(a, p) == _ref_point_equality(a, p)
+
+
+def test_enumeration_matches_orbit_minima():
+    rng = random.Random(20161106)
+    cases = [((1, 1), 2), ((2, 3, 4), 2), ((2, 4), 5), ((2, 2, 3), 7), ((3, 6), 13)]
+    cases += [
+        (tuple(rng.randint(1, 6) for _ in range(rng.randint(2, 3))), rng.choice([2, 3, 5, 7, 11]))
+        for _ in range(12)
+    ]
+    for a, p in cases:
+        assert enumerate_wps_points(a, p) == _ref_enumerate(a, p), (a, p)
 
 
 def test_closure_equality_is_equivalence():

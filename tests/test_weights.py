@@ -3,8 +3,10 @@ from math import gcd, prod
 
 import pytest
 
-from wps.errors import ParseError
+import wps.weights
+from wps.errors import BadCase, Mismatch, ParseError
 from wps.weights import (
+    WellFormStep,
     WellFormTrace,
     check_weight,
     is_well_formed,
@@ -146,5 +148,24 @@ def test_well_form_pairs_exhaustive():
 def test_trace_rejects_broken_chain():
     _, trace = well_form((12, 20, 30))
     steps = list(trace)
-    with pytest.raises(AssertionError):
+    with pytest.raises(Mismatch, match="steps do not chain"):
         WellFormTrace([steps[0], steps[2]])
+
+
+def test_step_rejects_unknown_case():
+    with pytest.raises(BadCase, match="got 'III'"):
+        WellFormStep("III", 2, None, (2, 4), (1, 2))
+
+
+def test_well_form_without_case_two_step(monkeypatch):
+    monkeypatch.setattr(wps.weights, "_case_two_candidates", lambda a, prime_steps: [])
+    with pytest.raises(Mismatch, match="no case-II step applies"):
+        well_form((2, 2, 1))
+
+
+def test_well_form_rejects_growing_step(monkeypatch):
+    monkeypatch.setattr(
+        wps.weights, "_case_two_candidates", lambda a, prime_steps: [((7, 1, 1), 0, 1)]
+    )
+    with pytest.raises(Mismatch, match="grew the entry product"):
+        well_form((2, 2, 1))
