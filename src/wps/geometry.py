@@ -102,14 +102,22 @@ def eq_rational(p: WPoint, q: WPoint) -> bool:
     return all(lam ** a[i] * p.coords[i] == q.coords[i] for i in range(len(a)))
 
 
-def _scalings(ai: int, c: int, p: int) -> tuple[int, ...]:
-    """lambda^{a_i} * c mod p for lambda = 1, ..., p - 1: one coordinate's orbit column."""
-    return tuple(pow(lam, ai, p) * c % p for lam in range(1, p))
+def fp_orbit_min(a: Weight, x: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Lexicographically least lambda-scaling (lambda^{a_i} x_i mod p) of a residue vector.
 
-
-def _orbit_min(columns: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Lexicographically smallest lambda-scaling, given every coordinate's `_scalings`."""
-    return min(zip(*columns))
+    The lambdas that keep every earlier coordinate at its least value are
+    carried forward.  Only the first nonzero coordinate scans all of F_p^*;
+    after it the survivors are one coset of the a_i-th roots of unity.
+    """
+    lams = range(1, p)
+    least = []
+    for ai, c in zip(a, x):
+        if c:
+            vals = [pow(lam, ai, p) * c % p for lam in lams]
+            c = min(vals)
+            lams = [lam for lam, v in zip(lams, vals) if v == c]
+        least.append(c)
+    return tuple(least)
 
 
 def normalize(p: WPoint) -> tuple[WPoint, bool]:
@@ -121,8 +129,7 @@ def normalize(p: WPoint) -> tuple[WPoint, bool]:
     """
     a = p.weight
     if isinstance(p.field, PrimeField):
-        m = p.field.p
-        best = _orbit_min([_scalings(ai, c.value, m) for ai, c in zip(a, p.coords)])
+        best = fp_orbit_min(a, tuple(c.value for c in p.coords), p.field.p)
         return WPoint(a, best, p.field), True
     anchor = next(
         (i for i in range(len(a)) if a[i] == 1 and p.coords[i] != p.field.zero), None

@@ -8,12 +8,13 @@ it.  A manifest file drives batches of checks.
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd, lcm, prod
 
 from .curves import PlaneCurve
 from .errors import TooLarge
 from .exactmath import PrimeField
-from .geometry import WPoint, _orbit_min, _scalings, eq_geometric, orbit, stabilizer_order
+from .geometry import WPoint, eq_geometric, fp_orbit_min, orbit, stabilizer_order
 from .parser import parse_polynomial
 from .truncation import (
     default_degree_bound,
@@ -28,15 +29,14 @@ _MAX_VECTORS = 10**6
 
 
 def _all_vectors(a: Weight, p: int):
-    """Nonzero coordinate vectors of F_p^n, lexicographic."""
+    """Nonzero coordinate vectors of F_p^n, lexicographic.
+
+    The scan limit is checked on the call, before any vector is produced.
+    """
     n = len(a)
     if p**n - 1 > _MAX_VECTORS:
         raise TooLarge(f"{p}^{n} - 1 vectors exceed the scan limit")
-    from itertools import product
-
-    for vec in product(range(p), repeat=n):
-        if any(vec):
-            yield vec
+    return (vec for vec in product(range(p), repeat=n) if any(vec))
 
 
 def enumerate_wps_points(a: Weight, p: int) -> list[WPoint]:
@@ -47,12 +47,7 @@ def enumerate_wps_points(a: Weight, p: int) -> list[WPoint]:
     """
     a = check_weight(a)
     field = PrimeField(p)
-    columns = [[_scalings(ai, c, p) for c in range(p)] for ai in a]
-    return [
-        WPoint(a, vec, field)
-        for vec in _all_vectors(a, p)
-        if _orbit_min([col[c] for col, c in zip(columns, vec)]) == vec
-    ]
+    return [WPoint(a, vec, field) for vec in _all_vectors(a, p) if fp_orbit_min(a, vec, p) == vec]
 
 
 class ClosureEquality:

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 from math import lcm
 from pathlib import Path
@@ -67,6 +68,14 @@ def test_enumeration_is_canonical_and_distinct():
 def test_enumeration_scan_limit():
     with pytest.raises(TooLarge, match="101\\^3 - 1 vectors exceed the scan limit"):
         enumerate_wps_points((1, 1, 2), 101)
+    # 100003 is prime; the limit must fire on the call, before any
+    # per-prime work or a first vector
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="100003\\^2 - 1 vectors exceed the scan limit"):
+        enumerate_wps_points((1, 1), 100003)
+    with pytest.raises(TooLarge):
+        verify_orbit_stabilizer((1, 1), 100003)
+    assert time.perf_counter() - start < 1.0
 
 
 # === closure equality ===
