@@ -100,7 +100,6 @@ from .hilbert import (
     HilbertSeries,
     ci_relation_degrees,
     complete_intersection_series,
-    ell,
     embedding_report,
     expand,
     generator_discovery,

@@ -21,7 +21,7 @@ from .curves import (
     sufficiently_general,
     vertex_membership,
 )
-from .errors import ParseError, Unsupported, WPSError
+from .errors import ParseError, WPSError
 from .exactmath import QQ, PrimeField
 from .geometry import WPoint, eq_geometric, eq_rational
 from .hilbert import (
@@ -294,16 +294,11 @@ def cmd_eq(args, parser):
     p1 = WPoint(a, parse_point_coords(args.pt1, field, len(a)), field)
     p2 = WPoint(a, parse_point_coords(args.pt2, field, len(a)), field)
     geo = eq_geometric(p1, p2)
-    try:
-        scaling = eq_rational(p1, p2)
-        scaling_text = _yn(scaling)
-    except Unsupported:
-        scaling = None
-        scaling_text = "undecided (no weight-1 anchor)"
+    scaling = eq_rational(p1, p2)
     lines = [
         f"equal: {_yn(geo)}",
         f"geometric: {_yn(geo)}",
-        f"scaling: {scaling_text}",
+        f"scaling: {_yn(scaling)}",
     ]
     data = {
         "weights": list(a),

@@ -5,7 +5,9 @@ cover.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
+from math import gcd
 
 from .errors import FieldMismatch, Mismatch, NotAConePoint, NotOnPatch, PrimeUnsuitable, Unsupported
 from .exactmath import QQ, FpElem, PrimeField
@@ -13,7 +15,11 @@ from .weights import Weight, check_weight
 
 
 class WPoint:
-    """A not-all-zero coordinate vector, up to lambda . x = (lambda^{a_i} x_i)."""
+    """A not-all-zero coordinate vector, up to lambda . x = (lambda^{a_i} x_i).
+
+    `values` holds int residues over F_p and the Fractions over Q."""
+
+    __slots__ = ("weight", "field", "coords", "values", "_support")
 
     def __init__(self, weight: Weight, coords, field=QQ):
         self.weight = check_weight(weight)
@@ -21,11 +27,14 @@ class WPoint:
         self.coords = tuple(field.coerce(c) for c in coords)
         if len(self.coords) != len(self.weight):
             raise ValueError(f"point needs {len(self.weight)} coordinates")
-        if all(c == field.zero for c in self.coords):
+        fp = isinstance(field, PrimeField)
+        self.values = tuple(c.value for c in self.coords) if fp else self.coords
+        self._support = tuple(i for i, v in enumerate(self.values) if v)
+        if not self._support:
             raise NotAConePoint("point coordinates are all zero")
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coords) if c != self.field.zero)
+        return self._support
 
     def __eq__(self, other) -> bool:
         return (
@@ -42,64 +51,78 @@ class WPoint:
         return "|" + ":".join(str(c) for c in self.coords) + "|"
 
 
-def _check_pair(p: WPoint, q: WPoint) -> None:
+@lru_cache(maxsize=64)  # bounded; one weight vector has at most 2^n - 1 supports
+def _fold_chain(a: Weight, support: tuple[int, ...]):
+    """(gcd of the support weights, first support index i0, steps): each later
+    index i gives (i, a_i/g, G/g, u, v), G the gcd so far, g = gcd(G, a_i) = u*G + v*a_i."""
+    i0, *rest = support
+    G, steps = a[i0], []
+    for i in rest:
+        g = gcd(G, a[i])
+        u = pow(G // g, -1, a[i] // g)
+        steps.append((i, a[i] // g, G // g, u, (g - u * G) // a[i]))
+        G = g
+    return G, i0, tuple(steps)
+
+
+def _scaling_root(p: WPoint, q: WPoint):
+    """None if p and q are different points over the algebraic closure, else
+    (G, R) such that lambda . p = q holds exactly when lambda^G = R.
+
+    On the common support lambda . p = q says lambda^{a_i} = r_i = q_i/p_i.
+    With g = gcd(G, a) = u*G + v*a, the pair {lambda^G = R, lambda^a = r} is
+    equivalent to {lambda^g = R^u r^v, R^{a/g} = r^{G/g}}, so the conditions
+    fold in one at a time; each fold leaves a lambda-free relation-lattice
+    condition that must hold.  The arithmetic is pow(., ., m): int residues
+    mod m over F_p, Fractions with m = None over Q.
+    """
     if p.weight != q.weight:
         raise Mismatch(f"weights differ: {p.weight} vs {q.weight}")
     if p.field != q.field:
         raise Mismatch(f"fields differ: {p.field} vs {q.field}")
+    if p._support != q._support:
+        return None
+    m = p.field.p if isinstance(p.field, PrimeField) else None
+    x, y = p.values, q.values
+    G, i, steps = _fold_chain(p.weight, p._support)
+    R = pow(x[i], -1, m) * y[i]
+    for i, ag, Gg, u, v in steps:
+        r = pow(x[i], -1, m) * y[i]
+        if pow(R, ag, m) != pow(r, Gg, m):
+            return None
+        if v:
+            R = pow(R, u, m) * pow(r, v, m)
+    return G, R
+
+
+def _is_power(n: int, k: int) -> bool:
+    """Whether n >= 1 is the k-th power of an integer (integer Newton steps)."""
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x**k == n
 
 
 def eq_geometric(p: WPoint, q: WPoint) -> bool:
-    """Support match plus the binomial relations p_i^{a_k} q_k^{a_i} = p_k^{a_i} q_i^{a_k}.
-
-    This is the closed-field equality test; it is exact for pairwise-coprime
-    weights and may overclaim otherwise (checked empirically by the oracle).
-    """
-    _check_pair(p, q)
-    a = p.weight
-    n = len(a)
-    if isinstance(p.field, PrimeField):
-        m = p.field.p
-        x = [c.value for c in p.coords]
-        y = [c.value for c in q.coords]
-        if [v != 0 for v in x] != [v != 0 for v in y]:
-            return False
-        for i in range(n):
-            for k in range(i + 1, n):
-                if pow(x[i], a[k], m) * pow(y[k], a[i], m) % m != pow(x[k], a[i], m) * pow(y[i], a[k], m) % m:
-                    return False
-        return True
-    if p.support() != q.support():
-        return False
-    for i in range(n):
-        for k in range(i + 1, n):
-            if p.coords[i] ** a[k] * q.coords[k] ** a[i] != p.coords[k] ** a[i] * q.coords[i] ** a[k]:
-                return False
-    return True
+    """Equality over the algebraic closure: lambda^{a_i} p_i = q_i for some
+    lambda there.  Exact for every weight vector (see `_scaling_root`)."""
+    return _scaling_root(p, q) is not None
 
 
 def eq_rational(p: WPoint, q: WPoint) -> bool:
-    """Equality under a base-field scalar lambda with lambda^{a_i} p_i = q_i."""
-    _check_pair(p, q)
-    a = p.weight
+    """Equality under a base-field scalar lambda with lambda^{a_i} p_i = q_i.
+
+    Left after the fold is lambda^G = R.  Over F_p it has a root iff
+    R^{(p-1)/gcd(G, p-1)} = 1 (Euler's criterion); over Q iff R > 0 or G is
+    odd, and |numerator| and denominator of R are integer G-th powers."""
+    root = _scaling_root(p, q)
+    if root is None:
+        return False
+    G, R = root
     if isinstance(p.field, PrimeField):
         m = p.field.p
-        terms = [(ai, x.value, y.value) for ai, x, y in zip(a, p.coords, q.coords)]
-        return any(
-            all(pow(lam, ai, m) * x % m == y for ai, x, y in terms)
-            for lam in range(1, m)
-        )
-    if p.support() != q.support():
-        return False
-    anchor = next(
-        (i for i in range(len(a)) if a[i] == 1 and p.coords[i] != p.field.zero), None
-    )
-    if anchor is None:
-        raise Unsupported(
-            "rational orbit equality needs a nonzero coordinate of weight 1"
-        )
-    lam = q.coords[anchor] / p.coords[anchor]
-    return all(lam ** a[i] * p.coords[i] == q.coords[i] for i in range(len(a)))
+        return pow(R, (m - 1) // gcd(G, m - 1), m) == 1
+    return (R > 0 or G % 2 == 1) and _is_power(abs(R.numerator), G) and _is_power(R.denominator, G)
 
 
 def fp_orbit_min(a: Weight, x: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -129,11 +152,9 @@ def normalize(p: WPoint) -> tuple[WPoint, bool]:
     """
     a = p.weight
     if isinstance(p.field, PrimeField):
-        best = fp_orbit_min(a, tuple(c.value for c in p.coords), p.field.p)
+        best = fp_orbit_min(a, p.values, p.field.p)
         return WPoint(a, best, p.field), True
-    anchor = next(
-        (i for i in range(len(a)) if a[i] == 1 and p.coords[i] != p.field.zero), None
-    )
+    anchor = next((i for i, c in enumerate(p.values) if a[i] == 1 and c), None)
     if anchor is None:
         return p, False
     lam = 1 / p.coords[anchor]
@@ -168,12 +189,8 @@ def stabilizer_order(y: WPoint, a: Weight, p: int) -> int:
     a = check_weight(a)
     if y.weight != (1,) * len(a):
         raise Mismatch(f"stabilizers act on straight points, got weight {y.weight}")
-    count = 0
     supp = y.support()
-    for g in _group_elements(a, p):
-        if len({g[i] for i in supp}) == 1:
-            count += 1
-    return count
+    return sum(len({g[i] for i in supp}) == 1 for g in _group_elements(a, p))
 
 
 def orbit(y: WPoint, a: Weight, p: int) -> list[WPoint]:
@@ -184,7 +201,7 @@ def orbit(y: WPoint, a: Weight, p: int) -> list[WPoint]:
     elements = _group_elements(a, p)
     if y.field != PrimeField(p):
         raise FieldMismatch(f"orbit over F_{p} of a point over {y.field}")
-    x = [c.value for c in y.coords]
+    x = y.values
     seen = set()
     for g in elements:
         moved = [s * c % p for s, c in zip(g, x)]
@@ -219,15 +236,13 @@ def patch_representative(x: WPoint, i: int) -> list:
 
 
 def patch_equivalent(u, v, a: Weight, i: int, p: int) -> bool:
-    """Whether two patch-i representatives differ by the type 1/a_i action."""
+    """Whether two patch-i representatives differ by the type 1/a_i action.
+
+    eps^{a_k} u_k = v_k with eps^{a_i} = 1 says that u and v, with 1 put back
+    at index i, are the same point under an F_p scalar.
+    """
     a = check_weight(a)
     field = PrimeField(p)
-    rest = [a[k] for k in range(len(a)) if k != i]
-    uu = [field.coerce(c) for c in u]
-    vv = [field.coerce(c) for c in v]
-    if len(uu) != len(rest) or len(vv) != len(rest):
-        raise ValueError(f"patch points need {len(rest)} coordinates")
-    return any(
-        all(eps ** ak * uc == vc for ak, uc, vc in zip(rest, uu, vv))
-        for eps in roots_of_unity(p, a[i])
-    )
+    if len(u) != len(a) - 1 or len(v) != len(a) - 1:
+        raise ValueError(f"patch points need {len(a) - 1} coordinates")
+    return eq_rational(WPoint(a, [*u[:i], 1, *u[i:]], field), WPoint(a, [*v[:i], 1, *v[i:]], field))

@@ -99,12 +99,8 @@ class EllSequence:
             raise ValueError("ell values are positive")
 
     def ambiguous_range(self) -> list[int]:
-        out = []
-        n = 1
-        while n * self.divisor_degree <= 2 * self.genus - 2:
-            out.append(n)
-            n += 1
-        return out
+        """The n with 0 < n*deg <= 2g-2."""
+        return list(range(1, (2 * self.genus - 2) // self.divisor_degree + 1))
 
     def value(self, n: int) -> int:
         if n < 0:
@@ -121,10 +117,6 @@ class EllSequence:
         )
 
     __call__ = value
-
-
-def ell(e: EllSequence, n: int) -> int:
-    return e.value(n)
 
 
 def _provider(coeffs):

@@ -118,29 +118,21 @@ def verify_point_equality(a: Weight, p: int, max_recorded: int = 20) -> dict:
     vectors = list(_all_vectors(a, p))
     points = [WPoint(a, vec, field) for vec in vectors]
     keys = [oracle.key(vec) for vec in vectors]
-    pairs = 0
-    mismatch_count = 0
-    mismatches = []
-    for i in range(len(vectors)):
-        for j in range(i, len(vectors)):
-            pairs += 1
+    n = len(vectors)
+    mismatch_count, mismatches = 0, []
+    for i in range(n):
+        for j in range(i, n):
             geo = eq_geometric(points[i], points[j])
             truth = keys[i] == keys[j]
             if geo != truth:
                 mismatch_count += 1
                 if len(mismatches) < max_recorded:
-                    mismatches.append(
-                        {
-                            "x": list(vectors[i]),
-                            "y": list(vectors[j]),
-                            "geometric": geo,
-                            "closure": truth,
-                        }
-                    )
+                    row = dict(x=list(vectors[i]), y=list(vectors[j]), geometric=geo, closure=truth)
+                    mismatches.append(row)
     return {
         "weights": list(a),
         "p": p,
-        "pairs": pairs,
+        "pairs": n * (n + 1) // 2,
         "mismatch_count": mismatch_count,
         "mismatches": mismatches,
     }
@@ -159,7 +151,7 @@ def verify_orbit_stabilizer(a: Weight, p: int) -> dict:
         if orb * stab != group_order:
             failures.append(
                 {
-                    "point": [c.value for c in y.coords],
+                    "point": list(y.values),
                     "orbit": orb,
                     "stabilizer": stab,
                 }
@@ -171,6 +163,22 @@ def verify_orbit_stabilizer(a: Weight, p: int) -> dict:
         "group_order": group_order,
         "failures": failures,
     }
+
+
+def _can_factor(e: tuple[int, ...], gens: list[tuple[int, ...]], memo: dict) -> bool:
+    """Whether the exponent vector e is a sum of generators (memoised in memo)."""
+    if not any(e):
+        return True
+    if e in memo:
+        return memo[e]
+    memo[e] = False  # cycle guard; every generator strictly shrinks e
+    ok = any(
+        all(ge <= ee for ge, ee in zip(g, e))
+        and _can_factor(tuple(ee - ge for ge, ee in zip(g, e)), gens, memo)
+        for g in gens
+    )
+    memo[e] = ok
+    return ok
 
 
 def verify_veronese(a: Weight, d: int, p: int | None = None, cap: int | None = None) -> dict:
@@ -186,28 +194,13 @@ def verify_veronese(a: Weight, d: int, p: int | None = None, cap: int | None = N
     if cap is None:
         cap = default_degree_bound(a, d)
     memo: dict[tuple[int, ...], bool] = {}
-
-    def can_factor(e: tuple[int, ...]) -> bool:
-        if not any(e):
-            return True
-        if e in memo:
-            return memo[e]
-        memo[e] = False  # cycle guard; every generator strictly shrinks e
-        ok = any(
-            all(ge <= ee for ge, ee in zip(g, e))
-            and can_factor(tuple(ee - ge for ge, ee in zip(g, e)))
-            for g in gens
-        )
-        memo[e] = ok
-        return ok
-
     names = variable_names(len(a))
     checked = 0
     failures = []
     for delta in range(d, cap + 1, d):
         for e in graded_piece_basis(a, delta):
             checked += 1
-            if not can_factor(e):
+            if not _can_factor(e, gens, memo):
                 failures.append(monomial_string(e, names))
     return {
         "weights": list(a),
@@ -315,13 +308,8 @@ def run_job(job: dict) -> dict:
     else:
         f = parse_polynomial(job["poly"], a)
         report = scan_curve_points(PlaneCurve(f), p)
-        ok = True
-        checks = []
-        if "expect_points" in job:
-            checks.append(report["points_on_curve"] == job["expect_points"])
-        if "expect_singular" in job:
-            checks.append(report["singular_points"] == job["expect_singular"])
-        ok = all(checks)
+        expected = {"points_on_curve": "expect_points", "singular_points": "expect_singular"}
+        ok = all(report[k] == job[e] for k, e in expected.items() if e in job)
         summary = (
             f"{report['points_on_curve']} on curve, "
             f"{report['singular_points']} singular"

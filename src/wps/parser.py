@@ -2,19 +2,22 @@
 
 Polynomial grammar: variables x0..x9 or letter names for the ambient
 variable count; operators + - * ^; integer or num/den coefficients;
-parentheses.  Implicit multiplication is rejected ('2x' must be '2*x').
+parentheses, nested at most _MAX_DEPTH deep.  Implicit multiplication
+is rejected ('2x' must be '2*x').
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError, UnknownVariable
+from .errors import ParseError, TooLarge, UnknownVariable
 from .exactmath import QQ
 from .weights import Weight
 from .wpoly import WPolynomial, variable_names
 
 _OPS = set("+-*^()/")
+# four parser frames per level: well below Python's default recursion limit of 1000
+_MAX_DEPTH = 100
 
 
 class _Token:
@@ -63,6 +66,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
         self.weight = tuple(weight)
         self.field = field
         self.names = variable_names(len(self.weight))
@@ -132,8 +136,12 @@ class _Parser:
             raise ParseError("unexpected end of input", len(self.text))
         if tok.kind == "(":
             self.take()
+            self.depth += 1
+            if self.depth > _MAX_DEPTH:
+                raise TooLarge(f"parentheses nested deeper than {_MAX_DEPTH} at position {tok.pos}")
             inner = self.expr()
             self.take(")")
+            self.depth -= 1
             return inner
         if tok.kind == "num":
             self.take()

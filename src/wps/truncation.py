@@ -28,24 +28,26 @@ TAG_POWER_RAISED = "power-raised"
 _MAX_BOX = 10**6
 
 
+def _fill_piece(a: Weight, i: int, remaining: int, prefix: list[int], out: list[Monomial]) -> None:
+    """Append to out each extension of prefix (the exponents of x_0..x_{i-1})
+    by exponents of x_i, x_{i+1}, ... of weighted degree exactly `remaining`."""
+    if i == len(a):
+        if remaining == 0:
+            out.append(tuple(prefix))
+        return
+    for e in range(remaining // a[i] + 1):
+        prefix.append(e)
+        _fill_piece(a, i + 1, remaining - a[i] * e, prefix, out)
+        prefix.pop()
+
+
 def graded_piece_basis(a, d: int) -> list[Monomial]:
     """All exponent tuples of weighted degree exactly d, in colex order."""
     a = tuple(int(x) for x in a)
     if d < 0:
         raise ValueError("degree must be non-negative")
     out: list[Monomial] = []
-
-    def rec(i: int, remaining: int, prefix: list[int]) -> None:
-        if i == len(a):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        for e in range(remaining // a[i] + 1):
-            prefix.append(e)
-            rec(i + 1, remaining - a[i] * e, prefix)
-            prefix.pop()
-
-    rec(0, d, [])
+    _fill_piece(a, 0, d, [], out)
     return sorted(out, key=monomial_key)
 
 

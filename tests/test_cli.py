@@ -212,19 +212,37 @@ def test_eq_finite_field_cone_point(capsys):
 
 
 def test_eq_undecided_scaling(capsys):
+    # no coordinate of weight 1, yet the scaling lambda = 2 is found
     code, out, _ = run(capsys, "eq", "--weights", "2,3", "--field", "q", "1:1", "4:8")
     assert code == 0
-    assert out == [
-        "equal: yes",
-        "geometric: yes",
-        "scaling: undecided (no weight-1 anchor)",
-    ]
+    assert out == ["equal: yes", "geometric: yes", "scaling: yes"]
+
+
+def test_eq_large_prime_needs_no_unit_scan(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eq", "--weights", "1,2,3", "--field", "1000000000039", "1:2:3", "2:8:24")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out == ["equal: yes", "geometric: yes", "scaling: yes"]
+    # lambda = -1, the last unit a scan of F_p^* would reach
+    code, out, _ = run(capsys, "eq", "--weights", "1,2,3", "--field", "1000000000039", "1:2:3", "1000000000038:2:1000000000036")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out == ["equal: yes", "geometric: yes", "scaling: yes"]
+
+
+def test_eq_non_coprime_weights(capsys):
+    # lambda^2 = 3 forces lambda^4 = 2, not 5; the pairwise binomial
+    # 3^4 = 5^2 alone would accept the pair
+    code, out, _ = run(capsys, "eq", "--weights", "2,4", "--field", "7", "1:1", "3:5")
+    assert code == 0
+    assert out == ["equal: no", "geometric: no", "scaling: no"]
 
 
 def test_oracle_run(capsys):
     code, out, _ = run(capsys, "oracle", "run", "--manifest", MANIFEST)
     assert code == 0
-    assert out[-1] == "9/9 checks passed"
+    assert out[-1] == "11/11 checks passed"
     assert all(line.startswith("ok ") for line in out[:-1])
 
 
@@ -299,6 +317,16 @@ def test_json_error_envelope(capsys):
     assert payload["error"]["code"] == "E_INVALID_DEGREE_WEIGHT"
     assert "d >= a_2 fails" in payload["error"]["message"]
     assert "data" not in payload
+
+
+def test_parenthesis_depth_is_capped(capsys):
+    deep = "(" * 2000 + "x" + ")" * 2000
+    code, payload = run_json(capsys, "check", "--weights", "1,1,1", "--poly", deep)
+    assert code == 1
+    assert payload["error"]["code"] == "E_TOO_LARGE"
+    code, out, _ = run(capsys, "check", "--weights", "1,1,1", "--poly", "(" * 50 + "x" + ")" * 50)
+    assert code == 0
+    assert out[0] == "degree: 1"
 
 
 def test_truncate_box_too_large(capsys):

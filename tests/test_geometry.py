@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wps.errors import FieldMismatch, Mismatch, NotAConePoint, NotOnPatch, PrimeUnsuitable, Unsupported
 from wps.exactmath import FpElem, PrimeField, QQ
@@ -18,6 +20,7 @@ from wps.geometry import (
     roots_of_unity,
     stabilizer_order,
 )
+from wps.oracle import ClosureEquality
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -66,7 +69,6 @@ def test_eq_rational_randomized_scalings():
     for _ in range(60):
         a = tuple(rng.choice([(1, 1, 2), (1, 2, 3), (1, 1)]))
         coords = [Fraction(rng.randrange(-4, 5)) for _ in a]
-        # keep a weight-1 anchor nonzero so eq_rational is decidable
         coords[0] = Fraction(rng.randrange(1, 5))
         lam = Fraction(rng.randrange(1, 7), rng.randrange(1, 7))
         p = WPoint(a, coords)
@@ -76,10 +78,34 @@ def test_eq_rational_randomized_scalings():
 
 
 def test_eq_rational_needs_weight_one_anchor():
+    # no weight-1 coordinate is needed: lambda = 2 scales |1:1| to |4:8|
     p = WPoint((2, 3), [Fraction(1), Fraction(1)])
     q = WPoint((2, 3), [Fraction(4), Fraction(8)])
-    with pytest.raises(Unsupported, match="weight 1"):
-        eq_rational(p, q)
+    assert eq_geometric(p, q)
+    assert eq_rational(p, q)
+    # lambda^2 = 2 and lambda^4 = 4: lambda = sqrt(2) is not rational
+    p = WPoint((2, 4), [Fraction(1), Fraction(1)])
+    q = WPoint((2, 4), [Fraction(2), Fraction(4)])
+    assert eq_geometric(p, q)
+    assert not eq_rational(p, q)
+
+
+def test_eq_over_q_non_coprime_weights():
+    cases = [
+        ((2, 4), [1, 1], [Fraction(9, 4), Fraction(81, 16)], True, True),  # lambda = 3/2
+        ((2, 4), [1, 1], [-1, 1], True, False),  # lambda = i
+        ((2, 4), [1, 1], [2, -4], False, False),  # lambda^2 = 2 forces lambda^4 = 4
+        ((3, 6), [1, 1], [-8, 64], True, True),  # lambda = -2
+        ((3, 6), [1, 1], [2, 4], True, False),  # lambda = 2^(1/3)
+        ((6, 4), [1, 1], [64, 16], True, True),  # lambda = +-2
+        ((6, 4), [1, 1], [-64, 16], True, False),  # lambda^2 = -4
+        ((2, 3), [1, 1], [4, -8], True, True),  # lambda = -2
+    ]
+    for a, x, y, geometric, rational in cases:
+        p = WPoint(a, [Fraction(c) for c in x])
+        q = WPoint(a, [Fraction(c) for c in y])
+        assert eq_geometric(p, q) == eq_geometric(q, p) == geometric, (a, x, y)
+        assert eq_rational(p, q) == eq_rational(q, p) == rational, (a, x, y)
 
 
 # === equality over finite fields: geometric vs scaling ===
@@ -287,6 +313,33 @@ def test_fp_orbit_and_stabilizer_match_reference():
             y = _random_point(rng, (1,) * len(a), field)
             assert orbit(y, a, p) == _ref_orbit(y, a, p), (a, p, y)
             assert stabilizer_order(y, a, p) == _ref_stabilizer(y, a, p), (a, p, y)
+
+
+@st.composite
+def _fp_pairs(draw):
+    a = tuple(draw(st.lists(st.integers(1, 8), min_size=2, max_size=4)))
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    x = draw(st.lists(st.integers(0, p - 1), min_size=len(a), max_size=len(a)).filter(any))
+    how = draw(st.sampled_from(["scaled", "same support", "random"]))
+    if how == "scaled":
+        lam = draw(st.integers(1, p - 1))
+        y = [pow(lam, ai, p) * c % p for ai, c in zip(a, x)]
+    elif how == "same support":
+        y = [draw(st.integers(1, p - 1)) if c else 0 for c in x]
+    else:
+        y = draw(st.lists(st.integers(0, p - 1), min_size=len(a), max_size=len(a)).filter(any))
+    return a, p, x, y
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_fp_pairs())
+def test_fp_equality_matches_closure_keys_and_unit_scan(case):
+    a, p, x, y = case
+    field = PrimeField(p)
+    px, py = WPoint(a, x, field), WPoint(a, y, field)
+    keys = ClosureEquality(a, p)
+    assert eq_geometric(px, py) == (keys.key(tuple(x)) == keys.key(tuple(y)))
+    assert eq_rational(px, py) == _ref_eq_rational(px, py)
 
 
 # === affine patches ===

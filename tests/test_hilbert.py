@@ -9,7 +9,6 @@ from wps.hilbert import (
     HilbertSeries,
     ci_relation_degrees,
     complete_intersection_series,
-    ell,
     embedding_report,
     expand,
     generator_discovery,
@@ -60,7 +59,7 @@ def test_to_string():
 def test_ell_elliptic():
     assert ELLIPTIC.ambiguous_range() == []
     assert ELLIPTIC(0) == 1
-    assert [ell(ELLIPTIC, n) for n in range(1, 8)] == [1, 2, 3, 4, 5, 6, 7]
+    assert [ELLIPTIC(n) for n in range(1, 8)] == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_ell_needs_overrides_below_canonical_degree():

@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 from itertools import product
@@ -22,6 +23,7 @@ from wps.oracle import (
     verify_veronese,
 )
 from wps.parser import parse_polynomial
+from wps.truncation import graded_piece_basis
 
 MANIFEST = Path(__file__).resolve().parent.parent / "manifests" / "default.manifest"
 
@@ -90,8 +92,8 @@ def test_closure_equality_direct():
     assert not eq.equal((1, 0, 1), (1, 1, 1)), "supports differ"
 
 
-# FpElem reference copies of the per-pair closure scan, the binomial test and
-# the orbit enumeration that class keys and int residues replaced
+# FpElem reference copies of the per-pair closure scan and the orbit
+# enumeration that class keys and int residues replaced
 
 
 class _ScanEquality:
@@ -123,38 +125,6 @@ class _ScanEquality:
         return any(
             all((t * s) % M == g for s, g in zip(strides, targets)) for t in range(M)
         )
-
-
-def _ref_eq_geometric(x, y):
-    if x.support() != y.support():
-        return False
-    a, n = x.weight, len(x.weight)
-    return all(
-        x.coords[i] ** a[k] * y.coords[k] ** a[i] == x.coords[k] ** a[i] * y.coords[i] ** a[k]
-        for i in range(n)
-        for k in range(i + 1, n)
-    )
-
-
-def _ref_point_equality(a, p, max_recorded=20):
-    field = PrimeField(p)
-    oracle = _ScanEquality(a, p)
-    vectors = [v for v in product(range(p), repeat=len(a)) if any(v)]
-    points = [WPoint(a, v, field) for v in vectors]
-    pairs = mismatch_count = 0
-    mismatches = []
-    for i in range(len(vectors)):
-        for j in range(i, len(vectors)):
-            pairs += 1
-            geo = _ref_eq_geometric(points[i], points[j])
-            truth = oracle.equal(vectors[i], vectors[j])
-            if geo != truth:
-                mismatch_count += 1
-                if len(mismatches) < max_recorded:
-                    mismatches.append(
-                        {"x": list(vectors[i]), "y": list(vectors[j]), "geometric": geo, "closure": truth}
-                    )
-    return {"weights": list(a), "p": p, "pairs": pairs, "mismatch_count": mismatch_count, "mismatches": mismatches}
 
 
 def _ref_enumerate(a, p):
@@ -194,13 +164,6 @@ def test_closure_key_is_least_coset_member():
             assert eq.key(x)[1] == ref.least(x), (a, p, x)
 
 
-@pytest.mark.parametrize("a, p", NONCOPRIME)
-def test_point_equality_report_matches_pair_scan(a, p):
-    # the mismatches themselves are the known eq_geometric overclaim on
-    # non-coprime weights; only agreement with the old scan is pinned
-    assert verify_point_equality(a, p) == _ref_point_equality(a, p)
-
-
 def test_enumeration_matches_orbit_minima():
     rng = random.Random(20161106)
     cases = [((1, 1), 2), ((2, 3, 4), 2), ((2, 4), 5), ((2, 2, 3), 7), ((3, 6), 13)]
@@ -210,6 +173,17 @@ def test_enumeration_matches_orbit_minima():
     ]
     for a, p in cases:
         assert enumerate_wps_points(a, p) == _ref_enumerate(a, p), (a, p)
+
+
+@pytest.mark.parametrize(
+    "a, p",
+    [((1, 2, 3), 7), ((1, 1, 2), 5), ((2, 3, 5), 11), ((2, 2, 3), 7), ((1, 2, 2), 5), ((4, 6), 7), ((2, 3, 4), 2)],
+)
+def test_closure_classes_count_projective_points(a, p):
+    # the F_p-points of P(a) number (p^n - 1)/(p - 1), as for P^{n-1}
+    eq = ClosureEquality(a, p)
+    keys = {eq.key(v) for v in product(range(p), repeat=len(a)) if any(v)}
+    assert len(keys) == (p ** len(a) - 1) // (p - 1)
 
 
 def test_closure_equality_is_equivalence():
@@ -225,7 +199,7 @@ def test_closure_equality_is_equivalence():
 # === the three verifiers ===
 
 
-@pytest.mark.parametrize("a, p", [((1, 1), 3), ((1, 1, 2), 5), ((1, 2, 3), 7)])
+@pytest.mark.parametrize("a, p", [((1, 1), 3), ((1, 1, 2), 5), ((1, 2, 3), 7)] + NONCOPRIME)
 def test_point_equality_matches_closure(a, p):
     report = verify_point_equality(a, p)
     assert report["mismatch_count"] == 0
@@ -266,6 +240,19 @@ def test_veronese_capped():
     assert report["regraded"] == [2, 3, 6]
     assert report["checked"] == 26
     assert report["failures"] == []
+
+
+def test_recursive_scans_leave_no_reference_cycles():
+    # the recursion helpers take their memo and output as arguments, so a
+    # call frees everything by reference counting
+    for fn, args in [(graded_piece_basis, ((1, 2, 3), 12)), (verify_veronese, ((6, 10, 15), 5, None, 60))]:
+        gc.collect()
+        gc.disable()
+        try:
+            fn(*args)
+            assert gc.collect() == 0, fn.__name__
+        finally:
+            gc.enable()
 
 
 # === curve point scans ===
@@ -337,5 +324,5 @@ def test_run_job_reports_failed_expectation():
 def test_reference_manifest_passes():
     result = run_manifest(MANIFEST.read_text())
     assert result["ok"]
-    assert len(result["jobs"]) == 9
+    assert len(result["jobs"]) == 11
     assert all(row["ok"] for row in result["jobs"])
