@@ -7,18 +7,43 @@ prime fields F_p.  Both are exact; there is no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd
 
-from .errors import FieldMismatch, ZeroPolynomial
+from .errors import FieldMismatch, TooLarge, ZeroPolynomial
+
+# (base, psi): an odd n < psi that is a strong probable prime to every base
+# up to this one is prime (Sorenson and Webster 2015, the first 13 primes).
+_MILLER_RABIN = (
+    (2, 2047), (3, 1373653), (5, 25326001), (7, 3215031751), (11, 2152302898747),
+    (13, 3474749660383), (17, 341550071728321), (19, 341550071728321),
+    (23, 3825123056546413051), (29, 3825123056546413051), (31, 3825123056546413051),
+    (37, 318665857834031151167461), (41, 3317044064679887385961981),
+)
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises TooLarge where its bases stop being exact."""
+    if n >= _MILLER_RABIN[-1][1]:
+        raise TooLarge(f"{n} is past the deterministic primality bound 3.3e24")
     if n < 2:
         return False
-    for q in range(2, isqrt(n) + 1):
-        if n % q == 0:
-            return False
-    return True
+    for b, _ in _MILLER_RABIN:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b, psi in _MILLER_RABIN:
+        x = pow(b, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
 
 
 def prime_factors(n: int) -> list[int]:
@@ -34,6 +59,58 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _sylow(l: int, p: int) -> tuple[int, int, int]:
+    """(z, s, q) with p - 1 = l^s q, l prime not dividing q, and z a generator
+    of the l-Sylow subgroup of F_p^* (q-th power of a non-l-th power)."""
+    q, s = p - 1, 0
+    while q % l == 0:
+        q, s = q // l, s + 1
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // l, p) != 1)
+    return pow(n, q, p), s, q
+
+
+def _prime_root(t: int, l: int, p: int, sylow: tuple[int, int, int]) -> int:
+    """An l-th root of an l-th power t in F_p^*, l a prime dividing p - 1,
+    sylow = _sylow(l, p).
+
+    r = t^(1/l mod q) misses by e = r^l / t, an l-th power in the l-Sylow
+    subgroup; its discrete log E base z is read digit by digit (Pohlig-Hellman,
+    each digit one of l values) and r / z^(E/l) is exact (Adleman-Manders-Miller).
+    """
+    z, s, q = sylow
+    r = pow(t, pow(l, -1, q), p)
+    e = pow(r, l, p) * pow(t, -1, p) % p
+    gamma, E = pow(z, l ** (s - 1), p), 0
+    for j in range(1, s):  # digit 0 of E is 0: e is an l-th power
+        h = pow(e * pow(z, -E, p), l ** (s - 1 - j), p)
+        E += next(c for c in range(l) if pow(gamma, c, p) == h) * l**j
+    return r * pow(z, -(E // l), p) % p
+
+
+def fp_roots(t: int, k: int, p: int) -> list[int]:
+    """All r in F_p^* with r^k = t for a unit residue t, ascending (empty if none).
+
+    With d = gcd(k, p - 1) the roots are one coset of the d-th roots of unity,
+    nonempty iff t^((p-1)/d) = 1.  A d-th root s of t is taken one prime of d
+    at a time (each step stays solvable because d | p - 1); then r = s^u with
+    u*(k/d) = 1 mod (p-1)/d.  No scan of F_p^*: past the search for one
+    non-l-th power per prime l | d, the cost is polynomial in d and log p.
+    """
+    d = gcd(k, p - 1)
+    if pow(t, (p - 1) // d, p) != 1:
+        return []
+    s, zeta, rest = t, 1, d
+    for l in prime_factors(d):
+        sylow = _sylow(l, p)
+        e = 0
+        while rest % l == 0:
+            rest, e = rest // l, e + 1
+            s = _prime_root(s, l, p, sylow)
+        zeta = zeta * pow(sylow[0], l ** (sylow[1] - e), p) % p
+    r = pow(s, pow(k // d, -1, (p - 1) // d), p)
+    return sorted(r * pow(zeta, j, p) % p for j in range(d))
 
 
 class RationalField:

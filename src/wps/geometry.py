@@ -5,12 +5,13 @@ cover.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
 
 from .errors import FieldMismatch, Mismatch, NotAConePoint, NotOnPatch, PrimeUnsuitable, Unsupported
-from .exactmath import QQ, FpElem, PrimeField
+from .exactmath import QQ, FpElem, PrimeField, fp_roots
 from .weights import Weight, check_weight
 
 
@@ -65,17 +66,44 @@ def _fold_chain(a: Weight, support: tuple[int, ...]):
     return G, i0, tuple(steps)
 
 
-def _scaling_root(p: WPoint, q: WPoint):
-    """None if p and q are different points over the algebraic closure, else
-    (G, R) such that lambda . p = q holds exactly when lambda^G = R.
+def _fold(a: Weight, values, support: tuple[int, ...], m: int | None):
+    """(G, R, relations) for the conditions lambda^{a_i} = values_i on the support.
 
-    On the common support lambda . p = q says lambda^{a_i} = r_i = q_i/p_i.
     With g = gcd(G, a) = u*G + v*a, the pair {lambda^G = R, lambda^a = r} is
     equivalent to {lambda^g = R^u r^v, R^{a/g} = r^{G/g}}, so the conditions
-    fold in one at a time; each fold leaves a lambda-free relation-lattice
-    condition that must hold.  The arithmetic is pow(., ., m): int residues
-    mod m over F_p, Fractions with m = None over Q.
+    fold in one at a time, each leaving the lambda-free relation (R^{a/g},
+    r^{G/g}).  With R = values^c its quotient is values^m, m = (a/g)*c -
+    (G/g)*e_i, and these m are a basis of the relation lattice {m : sum m_i a_i
+    = 0} on the support.  A common solution exists over the algebraic closure
+    iff every relation holds, and then lambda^G = R is what is left.  pow(., .,
+    m) works on int residues mod m over F_p and on Fractions (m None) over Q.
     """
+    G, i, steps = _fold_chain(a, support)
+    R, relations = values[i], []
+    for i, ag, Gg, u, v in steps:
+        r = values[i]
+        relations.append((pow(R, ag, m), pow(r, Gg, m)))
+        if v:
+            R = pow(R, u, m) * pow(r, v, m)
+    return G, R, relations
+
+
+def _geometric_key(a: Weight, values, m: int | None):
+    """(support, the values x^m of the fold's relations) of a vector of int
+    residues mod the prime m or of Fractions (m None).  Two vectors are one
+    point over the algebraic closure iff their keys are equal: the characters
+    x^m of the quotient torus separate its orbits.
+    """
+    support = tuple(i for i, v in enumerate(values) if v)
+    quotients = [pow(rhs, -1, m) * lhs for lhs, rhs in _fold(a, values, support, m)[2]]
+    return support, tuple(quotients if m is None else (t % m for t in quotients))
+
+
+def _scaling_root(p: WPoint, q: WPoint):
+    """None if p and q are different points over the algebraic closure, else
+    (G, R) such that lambda . p = q holds exactly when lambda^G = R.  On the
+    ratios q_i/p_i a relation's quotient is q^m / p^m, so the relations hold
+    exactly when the geometric keys agree."""
     if p.weight != q.weight:
         raise Mismatch(f"weights differ: {p.weight} vs {q.weight}")
     if p.field != q.field:
@@ -83,24 +111,29 @@ def _scaling_root(p: WPoint, q: WPoint):
     if p._support != q._support:
         return None
     m = p.field.p if isinstance(p.field, PrimeField) else None
-    x, y = p.values, q.values
-    G, i, steps = _fold_chain(p.weight, p._support)
-    R = pow(x[i], -1, m) * y[i]
-    for i, ag, Gg, u, v in steps:
-        r = pow(x[i], -1, m) * y[i]
-        if pow(R, ag, m) != pow(r, Gg, m):
-            return None
-        if v:
-            R = pow(R, u, m) * pow(r, v, m)
+    ratios = {i: pow(p.values[i], -1, m) * q.values[i] for i in p._support}
+    G, R, relations = _fold(p.weight, ratios, p._support, m)
+    if any(lhs != rhs for lhs, rhs in relations):
+        return None
     return G, R
 
 
-def _is_power(n: int, k: int) -> bool:
-    """Whether n >= 1 is the k-th power of an integer (integer Newton steps)."""
+def _int_root(n: int, k: int) -> int | None:
+    """The integer k-th root of n >= 1 if n is a k-th power, else None
+    (integer Newton steps)."""
     x = 1 << -(-n.bit_length() // k)
     while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
         x = y
-    return x**k == n
+    return x if x**k == n else None
+
+
+def _rational_root(t: Fraction, k: int) -> Fraction | None:
+    """The real k-th root of t != 0 if it is rational (the positive one for
+    even k), else None."""
+    num, den = _int_root(abs(t.numerator), k), _int_root(t.denominator, k)
+    if num is None or den is None or (t < 0 and k % 2 == 0):
+        return None
+    return Fraction(num if t > 0 else -num, den)
 
 
 def eq_geometric(p: WPoint, q: WPoint) -> bool:
@@ -122,7 +155,7 @@ def eq_rational(p: WPoint, q: WPoint) -> bool:
     if isinstance(p.field, PrimeField):
         m = p.field.p
         return pow(R, (m - 1) // gcd(G, m - 1), m) == 1
-    return (R > 0 or G % 2 == 1) and _is_power(abs(R.numerator), G) and _is_power(R.denominator, G)
+    return _rational_root(R, G) is not None
 
 
 def fp_orbit_min(a: Weight, x: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -171,66 +204,74 @@ def cover_project(y: WPoint, target_weight: Weight) -> WPoint:
 
 
 def roots_of_unity(p: int, n: int) -> list[FpElem]:
-    """All solutions of x^n = 1 in F_p (all n of them when p = 1 mod n)."""
+    """All solutions of x^n = 1 in F_p (all n of them when p = 1 mod n), ascending."""
     field = PrimeField(p)
-    return [field.coerce(x) for x in range(1, p) if pow(x, n, p) == 1]
+    return [field.coerce(x) for x in fp_roots(1, n, p)]
 
 
-def _group_elements(a: Weight, p: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=16)  # bounded; one group per (weights, prime)
+def _group_elements(a: Weight, p: int) -> tuple[tuple[int, ...], ...]:
     """The elements of mu^{a_0} x ... x mu^{a_n} inside (F_p^*)^{n+1}, as residues."""
     for ai in a:
         if (p - 1) % ai != 0:
             raise PrimeUnsuitable(f"p = {p} is not 1 mod {ai}; mu^{ai} not inside F_p*")
-    return list(product(*([r.value for r in roots_of_unity(p, ai)] for ai in a)))
+    return tuple(product(*(fp_roots(1, ai, p) for ai in a)))
+
+
+def _orbit_stabilizer(a: Weight, x: tuple[int, ...], p: int) -> tuple[set[tuple[int, ...]], int]:
+    """The G-orbit of the straight point x (residues mod p), each member scaled
+    to first nonzero coordinate 1, and the order of the stabilizer of x: the
+    g that are constant on the support of x."""
+    support = [i for i, v in enumerate(x) if v]
+    i0 = support[0]
+    seen, stab = set(), 0
+    for g in _group_elements(a, p):
+        inv = pow(g[i0] * x[i0], -1, p)
+        seen.add(tuple(s * v * inv % p for s, v in zip(g, x)))
+        stab += all(g[i] == g[i0] for i in support)
+    return seen, stab
+
+
+def _check_straight(y: WPoint, a: Weight, p: int) -> None:
+    if y.weight != (1,) * len(a):
+        raise Mismatch(f"the group acts on straight points, got weight {y.weight}")
+    if y.field != PrimeField(p):
+        raise FieldMismatch(f"the group over F_{p} acting on a point over {y.field}")
 
 
 def stabilizer_order(y: WPoint, a: Weight, p: int) -> int:
     """Order of the subgroup of G = prod mu^{a_i} fixing y in straight P^n."""
     a = check_weight(a)
-    if y.weight != (1,) * len(a):
-        raise Mismatch(f"stabilizers act on straight points, got weight {y.weight}")
-    supp = y.support()
-    return sum(len({g[i] for i in supp}) == 1 for g in _group_elements(a, p))
+    _check_straight(y, a, p)
+    return _orbit_stabilizer(a, y.values, p)[1]
 
 
 def orbit(y: WPoint, a: Weight, p: int) -> list[WPoint]:
     """Distinct straight-projective points in the G-orbit of y, sorted."""
     a = check_weight(a)
-    if y.weight != (1,) * len(a):
-        raise Mismatch(f"orbits act on straight points, got weight {y.weight}")
-    elements = _group_elements(a, p)
-    if y.field != PrimeField(p):
-        raise FieldMismatch(f"orbit over F_{p} of a point over {y.field}")
-    x = y.values
-    seen = set()
-    for g in elements:
-        moved = [s * c % p for s, c in zip(g, x)]
-        # with all weights 1 the orbit minimum scales the first nonzero coordinate to 1
-        inv = pow(next(v for v in moved if v), -1, p)
-        seen.add(tuple(v * inv % p for v in moved))
-    return [WPoint(y.weight, cs, y.field) for cs in sorted(seen)]
+    _check_straight(y, a, p)
+    return [WPoint(y.weight, cs, y.field) for cs in sorted(_orbit_stabilizer(a, y.values, p)[0])]
 
 
 def patch_representative(x: WPoint, i: int) -> list:
     """A representative of x in the affine patch {x_i != 0}.
 
-    Scales by an a_i-th root of 1/x_i (smallest residue over F_p; exact over
-    the rationals only when a_i = 1), then drops coordinate i.
+    Scales by an a_i-th root of 1/x_i (the smallest residue over F_p, the
+    positive one over the rationals), then drops coordinate i.
     """
     a = x.weight
     if not 0 <= i < len(a):
         raise ValueError(f"patch index {i} out of range")
     if x.coords[i] == x.field.zero:
         raise NotOnPatch(f"coordinate {i} vanishes; point is not on patch {i}")
-    target = 1 / x.coords[i]
+    target, k = 1 / x.coords[i], a[i]
     if isinstance(x.field, PrimeField):
-        root = next((t for t in x.field.units() if t ** a[i] == target), None)
-        if root is None:
-            raise Unsupported(f"1/x_{i} = {target} has no {a[i]}-th root in F_{x.field.p}")
+        roots = fp_roots(target.value, k, x.field.p)
+        root = x.field.coerce(roots[0]) if roots else None
     else:
-        if a[i] != 1:
-            raise Unsupported(f"rational patch needs weight 1 at index {i}, got {a[i]}")
-        root = target
+        root = _rational_root(target, k)
+    if root is None:
+        raise Unsupported(f"1/x_{i} = {target} has no {k}-th root in {x.field}")
     scaled = [root ** a[k] * c for k, c in enumerate(x.coords)]
     return [c for k, c in enumerate(scaled) if k != i]
 

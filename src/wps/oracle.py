@@ -3,18 +3,20 @@
 The ground truth for point equality is equivalence under the full scaling
 action over an algebraic closure, decided exactly by one discrete-log
 class key per vector; the geometric and orbit machinery is verified against
-it.  A manifest file drives batches of checks.
+it.  The F_p verifiers are linear in the number of vectors and work on
+int residues.  A manifest file drives batches of checks.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from collections import Counter
+from itertools import islice, product
 from math import gcd, lcm, prod
 
 from .curves import PlaneCurve
 from .errors import TooLarge
 from .exactmath import PrimeField
-from .geometry import WPoint, eq_geometric, fp_orbit_min, orbit, stabilizer_order
+from .geometry import WPoint, _geometric_key, _orbit_stabilizer, fp_orbit_min
 from .parser import parse_polynomial
 from .truncation import (
     default_degree_bound,
@@ -23,9 +25,14 @@ from .truncation import (
     veronese_generators,
 )
 from .weights import Weight, check_weight, parse_weight
-from .wpoly import evaluate, monomial_string, partial, reduce_mod, variable_names
+from .wpoly import monomial_string, partial, reduce_mod, variable_names
 
 _MAX_VECTORS = 10**6
+
+
+def _check_scan(n: int, p: int) -> None:
+    if p**n - 1 > _MAX_VECTORS:
+        raise TooLarge(f"{p}^{n} - 1 vectors exceed the scan limit")
 
 
 def _all_vectors(a: Weight, p: int):
@@ -33,10 +40,15 @@ def _all_vectors(a: Weight, p: int):
 
     The scan limit is checked on the call, before any vector is produced.
     """
-    n = len(a)
-    if p**n - 1 > _MAX_VECTORS:
-        raise TooLarge(f"{p}^{n} - 1 vectors exceed the scan limit")
-    return (vec for vec in product(range(p), repeat=n) if any(vec))
+    _check_scan(len(a), p)
+    return (vec for vec in product(range(p), repeat=len(a)) if any(vec))
+
+
+def _straight_points(n: int, p: int) -> list[tuple[int, ...]]:
+    """The points of P^{n-1}(F_p), first nonzero coordinate 1, sorted: the
+    orbit minima of the straight weights in closed form."""
+    _check_scan(n, p)
+    return [(0,) * k + (1,) + rest for k in range(n - 1, -1, -1) for rest in product(range(p), repeat=n - 1 - k)]
 
 
 def enumerate_wps_points(a: Weight, p: int) -> list[WPoint]:
@@ -106,29 +118,33 @@ class ClosureEquality:
         return self.key(x) == self.key(y)
 
 
-def verify_point_equality(a: Weight, p: int, max_recorded: int = 20) -> dict:
-    """Compare eq_geometric with the closure oracle over every vector pair.
+def _pairs(sizes) -> int:
+    """Unordered pairs with repeats inside classes of the given sizes."""
+    return sum(k * (k + 1) // 2 for k in sizes)
 
-    Closure keys are computed once per vector; each of the n(n+1)/2 pairs
-    compares two keys and calls eq_geometric.
+
+def verify_point_equality(a: Weight, p: int, max_recorded: int = 20) -> dict:
+    """Compare the key eq_geometric compares with the closure key on every vector pair.
+
+    A pair mismatches when exactly one key agrees, so with pair(c) = sum
+    c(c+1)/2 over a grouping the count is pair(geometric) + pair(closure) -
+    2 pair(both), O(N) for N vectors.  The recorded rows are the first
+    mismatching pairs in order; both vectors of one lie in classes that differ.
     """
     a = check_weight(a)
-    field = PrimeField(p)
-    oracle = ClosureEquality(a, p)
     vectors = list(_all_vectors(a, p))
-    points = [WPoint(a, vec, field) for vec in vectors]
-    keys = [oracle.key(vec) for vec in vectors]
+    oracle = ClosureEquality(a, p)
+    geo = [_geometric_key(a, vec, p) for vec in vectors]
+    clo = [oracle.key(vec) for vec in vectors]
+    geo_n, clo_n, cells = Counter(geo), Counter(clo), Counter(zip(geo, clo))
+    mismatch_count = _pairs(geo_n.values()) + _pairs(clo_n.values()) - 2 * _pairs(cells.values())
+    mixed = [i for i, (g, c) in enumerate(zip(geo, clo)) if not geo_n[g] == clo_n[c] == cells[g, c]]
+    rows = ((i, j) for i in mixed for j in mixed if j > i and (geo[i] == geo[j]) != (clo[i] == clo[j]))
+    mismatches = [
+        dict(x=list(vectors[i]), y=list(vectors[j]), geometric=geo[i] == geo[j], closure=clo[i] == clo[j])
+        for i, j in islice(rows, max_recorded)
+    ]
     n = len(vectors)
-    mismatch_count, mismatches = 0, []
-    for i in range(n):
-        for j in range(i, n):
-            geo = eq_geometric(points[i], points[j])
-            truth = keys[i] == keys[j]
-            if geo != truth:
-                mismatch_count += 1
-                if len(mismatches) < max_recorded:
-                    row = dict(x=list(vectors[i]), y=list(vectors[j]), geometric=geo, closure=truth)
-                    mismatches.append(row)
     return {
         "weights": list(a),
         "p": p,
@@ -141,21 +157,13 @@ def verify_point_equality(a: Weight, p: int, max_recorded: int = 20) -> dict:
 def verify_orbit_stabilizer(a: Weight, p: int) -> dict:
     """|orbit| * |stabilizer| = a_0...a_n for every straight projective point."""
     a = check_weight(a)
-    straight = tuple(1 for _ in a)
     group_order = prod(a)
     failures = []
-    points = enumerate_wps_points(straight, p)
-    for y in points:
-        orb = len(orbit(y, a, p))
-        stab = stabilizer_order(y, a, p)
-        if orb * stab != group_order:
-            failures.append(
-                {
-                    "point": list(y.values),
-                    "orbit": orb,
-                    "stabilizer": stab,
-                }
-            )
+    points = _straight_points(len(a), p)
+    for x in points:
+        seen, stab = _orbit_stabilizer(a, x, p)
+        if len(seen) * stab != group_order:
+            failures.append({"point": list(x), "orbit": len(seen), "stabilizer": stab})
     return {
         "weights": list(a),
         "p": p,
@@ -213,29 +221,35 @@ def verify_veronese(a: Weight, d: int, p: int | None = None, cap: int | None = N
     }
 
 
+def _vanishes(f, x: tuple[int, ...], p: int) -> bool:
+    """Whether the F_p polynomial f vanishes at the residue vector x."""
+    return sum(c.value * prod(pow(v, k, p) for v, k in zip(x, e)) for e, c in f.terms.items()) % p == 0
+
+
 def scan_curve_points(c: PlaneCurve, p: int) -> dict:
-    """Count curve points and singular curve points in P(a)(F_p)."""
+    """Count the F_p^*-orbits of vectors, on the curve, and singular there.
+
+    A cone scan: a nonzero vector lies in an orbit of (p-1)/gcd(g_S, p-1)
+    vectors, g_S the gcd of the weights on its support, so each vector adds
+    gcd(g_S, p-1) to a tally of p-1 times the orbit count.
+    """
     f = reduce_mod(c.poly, p)
     a = c.weight
     parts = [partial(f, i) for i in range(3)]
-    total = 0
-    on_curve = 0
-    singular = 0
-    zero = f.field.zero
-    for point in enumerate_wps_points(a, p):
-        total += 1
-        coords = list(point.coords)
-        if evaluate(f, coords) == zero:
-            on_curve += 1
-            if all(evaluate(g, coords) == zero for g in parts):
-                singular += 1
+    total = on_curve = singular = 0
+    for x in _all_vectors(a, p):
+        w = gcd(p - 1, *(ai for ai, v in zip(a, x) if v))
+        total += w
+        if _vanishes(f, x, p):
+            on_curve += w
+            singular += w * all(_vanishes(g, x, p) for g in parts)
     return {
         "weights": list(a),
         "p": p,
         "d": c.degree,
-        "total_points": total,
-        "points_on_curve": on_curve,
-        "singular_points": singular,
+        "total_points": total // (p - 1),
+        "points_on_curve": on_curve // (p - 1),
+        "singular_points": singular // (p - 1),
     }
 
 

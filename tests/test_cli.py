@@ -211,7 +211,7 @@ def test_eq_finite_field_cone_point(capsys):
     assert out == ["equal: yes", "geometric: yes", "scaling: no"]
 
 
-def test_eq_undecided_scaling(capsys):
+def test_eq_scaling_needs_no_weight_one_coordinate(capsys):
     # no coordinate of weight 1, yet the scaling lambda = 2 is found
     code, out, _ = run(capsys, "eq", "--weights", "2,3", "--field", "q", "1:1", "4:8")
     assert code == 0
@@ -229,6 +229,19 @@ def test_eq_large_prime_needs_no_unit_scan(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 0
     assert out == ["equal: yes", "geometric: yes", "scaling: yes"]
+
+
+def test_eq_prime_past_primality_bound(capsys):
+    # a 31-digit prime: deterministic Miller-Rabin stops at 3.3e24
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eq", "--weights", "1,2", "--field", "1000000000000000000000000000057", "1:1", "2:4")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == [] and err[0].startswith("error[E_TOO_LARGE]")
+    # an 18-digit prime is answered
+    code, out, _ = run(capsys, "eq", "--weights", "1,2", "--field", "2305843009213693951", "1:1", "2:4")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, ["equal: yes", "geometric: yes", "scaling: yes"])
 
 
 def test_eq_non_coprime_weights(capsys):

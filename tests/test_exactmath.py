@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from wps.errors import FieldMismatch, ZeroPolynomial
+from wps.errors import FieldMismatch, TooLarge, ZeroPolynomial
 from wps.exactmath import (
     QQ,
     FpElem,
@@ -11,6 +12,7 @@ from wps.exactmath import (
     UPolynomial,
     distinct_root_count,
     field_of,
+    fp_roots,
     is_prime,
     prime_factors,
     upoly_gcd,
@@ -22,6 +24,53 @@ from wps.exactmath import (
 def test_is_prime_small_table():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_is_prime_matches_trial_division():
+    sieve = bytearray([1]) * 10**5
+    sieve[0] = sieve[1] = 0
+    for q in range(2, 317):
+        if sieve[q]:
+            sieve[q * q :: q] = bytearray(len(sieve[q * q :: q]))
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if sieve[n]]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,  # Carmichael numbers
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,  # least strong
+        341550071728321, 3825123056546413051, 318665857834031151167461,  # pseudoprimes to the first k primes
+        1000000000039 * 1000003,
+    ],
+)
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_large_primes_and_bound():
+    for n in (2**31 - 1, 1000000000039, 2**61 - 1, 2**79 - 67):
+        assert is_prime(n), n
+    with pytest.raises(TooLarge, match="deterministic primality bound"):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(TooLarge):
+        PrimeField(1000000000000000000000000000057)  # a 31-digit prime
+
+
+def test_fp_roots_match_scan():
+    for p in [n for n in range(2, 60) if is_prime(n)]:
+        for k in range(1, 14):
+            for t in range(1, p):
+                assert fp_roots(t, k, p) == [r for r in range(1, p) if pow(r, k, p) == t], (t, k, p)
+
+
+def test_fp_roots_large_prime():
+    p = 2**61 - 1  # p - 1 = 2 * 3^2 * 5^2 * 7 * 11 * 13 * 31 * 41 * 61 * 151 * 331 * 1321
+    for k in (2, 9, 25, 12):
+        roots = fp_roots(pow(123456789, k, p), k, p)
+        assert len(roots) == gcd(k, p - 1) and all(pow(r, k, p) == pow(123456789, k, p) for r in roots)
+        assert 123456789 in roots
+    assert fp_roots(3, 2, p) == [] and pow(3, (p - 1) // 2, p) == p - 1
 
 
 @pytest.mark.parametrize(

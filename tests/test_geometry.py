@@ -10,6 +10,7 @@ from wps.errors import FieldMismatch, Mismatch, NotAConePoint, NotOnPatch, Prime
 from wps.exactmath import FpElem, PrimeField, QQ
 from wps.geometry import (
     WPoint,
+    _geometric_key,
     cover_project,
     eq_geometric,
     eq_rational,
@@ -77,7 +78,7 @@ def test_eq_rational_randomized_scalings():
         assert eq_rational(p, q), (p, q)
 
 
-def test_eq_rational_needs_weight_one_anchor():
+def test_eq_over_q_needs_no_weight_one_coordinate():
     # no weight-1 coordinate is needed: lambda = 2 scales |1:1| to |4:8|
     p = WPoint((2, 3), [Fraction(1), Fraction(1)])
     q = WPoint((2, 3), [Fraction(4), Fraction(8)])
@@ -342,14 +343,53 @@ def test_fp_equality_matches_closure_keys_and_unit_scan(case):
     assert eq_rational(px, py) == _ref_eq_rational(px, py)
 
 
+# non-coprime weights and p | a_i on purpose, then seeded draws
+KEY_CASES = [((2, 4), 5), ((2, 2, 3), 7), ((3, 6, 4), 13), ((4, 6), 7), ((1, 2, 2), 5), ((2, 3, 4), 2),
+             ((3, 6), 3), ((5, 5, 2), 5), ((6, 4, 8, 2), 3), ((7, 7), 7)]
+_rng = random.Random(20161108)
+while len(KEY_CASES) < 32:
+    _a = tuple(_rng.randint(1, 8) for _ in range(_rng.randint(2, 4)))
+    _p = _rng.choice([2, 3, 5, 7, 11, 13])
+    if _p ** len(_a) <= 3000:
+        KEY_CASES.append((_a, _p))
+
+
+@pytest.mark.parametrize("a, p", KEY_CASES)
+def test_geometric_key_classes_are_closure_classes(a, p):
+    # the key eq_geometric compares and the closure key split the nonzero
+    # vectors into the same classes, so they agree on every pair
+    closure = ClosureEquality(a, p)
+    classes = {}
+    for v in product(range(p), repeat=len(a)):
+        if any(v):
+            classes.setdefault(_geometric_key(a, v, p), set()).add(closure.key(v))
+    assert all(len(c) == 1 for c in classes.values())
+    assert len(set().union(*classes.values())) == len(classes)
+    rng = random.Random(hash((a, p)))
+    field = PrimeField(p)
+    sample = [_random_point(rng, a, field) for _ in range(12)]
+    for x in sample[:]:
+        for lam in (p - 1, (p + 1) // 2):
+            sample.append(WPoint(a, [pow(lam, ai, p) * c for ai, c in zip(a, x.values)], field))
+    for x in sample:
+        for y in sample:
+            same_key = _geometric_key(a, x.values, p) == _geometric_key(a, y.values, p)
+            assert same_key == eq_geometric(x, y) == closure.equal(x.values, y.values), (x, y)
+
+
 # === affine patches ===
 
 
 def test_patch_representative_rational():
     x = qpt((1, 1, 2), 3, 6, 18)
     assert patch_representative(x, 0) == [Fraction(2), Fraction(2)]
-    with pytest.raises(Unsupported, match="rational patch needs weight 1 at index 2, got 2"):
+    with pytest.raises(Unsupported, match="1/x_2 = 1/18 has no 2-th root in QQ"):
         patch_representative(x, 2)
+    # 1/4 = (1/2)^2: the positive rational root; an odd weight keeps the sign
+    assert patch_representative(qpt((1, 1, 2), 1, 1, 4), 2) == [Fraction(1, 2), Fraction(1, 2)]
+    assert patch_representative(qpt((1, 3), 2, -27), 1) == [Fraction(-2, 3)]
+    with pytest.raises(Unsupported, match="1/x_1 = -1/4 has no 2-th root in QQ"):
+        patch_representative(qpt((1, 2), 1, -4), 1)
     with pytest.raises(NotOnPatch, match="coordinate 1 vanishes; point is not on patch 1"):
         patch_representative(qpt((1, 1, 2), 1, 0, 2), 1)
     with pytest.raises(ValueError, match="out of range"):

@@ -7,12 +7,14 @@ from pathlib import Path
 
 import pytest
 
+import wps.geometry
 from wps.curves import PlaneCurve
 from wps.errors import PrimeUnsuitable, TooLarge
 from wps.exactmath import PrimeField
 from wps.geometry import WPoint, eq_geometric, eq_rational, normalize
 from wps.oracle import (
     ClosureEquality,
+    _straight_points,
     enumerate_wps_points,
     parse_manifest,
     run_job,
@@ -24,6 +26,7 @@ from wps.oracle import (
 )
 from wps.parser import parse_polynomial
 from wps.truncation import graded_piece_basis
+from wps.wpoly import evaluate, partial, reduce_mod
 
 MANIFEST = Path(__file__).resolve().parent.parent / "manifests" / "default.manifest"
 
@@ -77,6 +80,14 @@ def test_enumeration_scan_limit():
         enumerate_wps_points((1, 1), 100003)
     with pytest.raises(TooLarge):
         verify_orbit_stabilizer((1, 1), 100003)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_point_equality_scan_limit_comes_first():
+    # the limit fires before the closure oracle tabulates discrete logs mod p
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="1000000007\\^2 - 1 vectors exceed the scan limit"):
+        verify_point_equality((1, 2), 1000000007)
     assert time.perf_counter() - start < 1.0
 
 
@@ -206,6 +217,48 @@ def test_point_equality_matches_closure(a, p):
     assert report["mismatches"] == []
 
 
+def _ref_point_equality(a, p, max_recorded=20):
+    # the N^2 pair loop that class counting replaced
+    field = PrimeField(p)
+    oracle = ClosureEquality(a, p)
+    vectors = [v for v in product(range(p), repeat=len(a)) if any(v)]
+    points = [WPoint(a, v, field) for v in vectors]
+    count, rows = 0, []
+    for i in range(len(vectors)):
+        for j in range(i, len(vectors)):
+            geo = eq_geometric(points[i], points[j])
+            truth = oracle.equal(vectors[i], vectors[j])
+            if geo != truth:
+                count += 1
+                if len(rows) < max_recorded:
+                    rows.append(dict(x=list(vectors[i]), y=list(vectors[j]), geometric=geo, closure=truth))
+    n = len(vectors)
+    return {"weights": list(a), "p": p, "pairs": n * (n + 1) // 2, "mismatch_count": count, "mismatches": rows}
+
+
+def _drop_last_condition(fold):
+    def mutated(a, support):
+        G, i0, steps = fold(a, support)
+        return G, i0, steps[:-1]
+
+    return mutated
+
+
+@pytest.mark.parametrize("a, p", [((1, 1, 2), 5), ((2, 2, 3), 5), ((2, 3), 5), ((4, 6), 7), ((1, 2, 2), 3)])
+def test_point_equality_matches_pair_loop(a, p, monkeypatch):
+    assert verify_point_equality(a, p) == _ref_point_equality(a, p)
+    # with one fold condition dropped eq_geometric overclaims; both count it alike
+    monkeypatch.setattr(wps.geometry, "_fold_chain", _drop_last_condition(wps.geometry._fold_chain))
+    report = verify_point_equality(a, p)
+    assert report["mismatch_count"] > 0
+    assert report == _ref_point_equality(a, p)
+    oracle = ClosureEquality(a, p)
+    field = PrimeField(p)
+    for row in report["mismatches"]:
+        x, y = WPoint(a, row["x"], field), WPoint(a, row["y"], field)
+        assert row["geometric"] == eq_geometric(x, y) != oracle.equal(tuple(row["x"]), tuple(row["y"]))
+
+
 def test_point_equality_pair_count():
     report = verify_point_equality((1, 1), 3)
     assert report["pairs"] == 36, "8 nonzero vectors, unordered pairs with repeats"
@@ -219,6 +272,11 @@ def test_orbit_stabilizer_product(a, p, points):
     report = verify_orbit_stabilizer(a, p)
     assert report["points"] == points
     assert report["failures"] == []
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (2, 7), (3, 3), (3, 5), (4, 3)])
+def test_straight_points_are_orbit_minima(n, p):
+    assert _straight_points(n, p) == [x.values for x in enumerate_wps_points((1,) * n, p)]
 
 
 def test_orbit_stabilizer_needs_suitable_prime():
@@ -269,6 +327,38 @@ def test_scan_curve_points_frozen():
     assert report["total_points"] == 13
     assert report["points_on_curve"] == 4
     assert report["singular_points"] == 0
+
+
+def _ref_curve_counts(c, p):
+    # orbit minima by a scan of F_p^*, f evaluated on FpElem coordinates
+    f = reduce_mod(c.poly, p)
+    parts = [partial(f, i) for i in range(3)]
+    field = f.field
+    reps = {
+        min(tuple(pow(lam, ai, p) * v % p for ai, v in zip(c.weight, x)) for lam in range(1, p))
+        for x in product(range(p), repeat=3)
+        if any(x)
+    }
+    on = [x for x in reps if evaluate(f, [field.coerce(v) for v in x]) == field.zero]
+    sing = [x for x in on if all(evaluate(g, [field.coerce(v) for v in x]) == field.zero for g in parts)]
+    return len(reps), len(on), len(sing)
+
+
+def test_scan_curve_points_matches_orbit_minima():
+    rng = random.Random(20161109)
+    for _ in range(30):
+        a = tuple(rng.randint(1, 5) for _ in range(3))
+        d = rng.randint(max(a), 2 * max(a) + 2)
+        monos = [e for e in product(range(d + 1), repeat=3) if sum(x * y for x, y in zip(a, e)) == d]
+        if not monos:
+            continue
+        terms = rng.sample(monos, min(len(monos), rng.randint(1, 4)))
+        text = " + ".join(f"{rng.randint(1, 6)}*x^{e[0]}*y^{e[1]}*z^{e[2]}" for e in terms)
+        c = PlaneCurve(parse_polynomial(text, a))
+        p = rng.choice([2, 3, 5, 7, 11])
+        report = scan_curve_points(c, p)
+        got = (report["total_points"], report["points_on_curve"], report["singular_points"])
+        assert got == _ref_curve_counts(c, p), (a, text, p)
 
 
 def test_scan_finds_singular_points():
