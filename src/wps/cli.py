@@ -29,6 +29,7 @@ from .hilbert import (
     HilbertSeries,
     ci_relation_degrees,
     embedding_report,
+    numerator_degree_bound,
     numerator_from_sequence,
 )
 from .parser import parse_point_coords, parse_polynomial, parse_upolynomial
@@ -247,7 +248,7 @@ def cmd_hilbert_expand(args, parser):
 
 def cmd_hilbert_numerator(args, parser):
     e = EllSequence(args.genus, args.deg, dict(args.override or []))
-    bound = args.n if args.n is not None else 2 * sum(args.weights)
+    bound = args.n if args.n is not None else numerator_degree_bound(e, args.weights)
     num = numerator_from_sequence(e, args.weights, bound)
     lines = [num.to_string("t")]
     degrees = ci_relation_degrees(num)

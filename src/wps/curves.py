@@ -6,6 +6,7 @@ formula with its Riemann-Hurwitz consistency check.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import gcd, prod
 
 from .errors import (
@@ -18,7 +19,7 @@ from .errors import (
     NotSufficientlyGeneral,
     NotWellFormed,
 )
-from .exactmath import UPolynomial, distinct_root_count, upoly_gcd
+from .exactmath import UPolynomial, distinct_root_count
 from .weights import Weight, check_weight, is_well_formed
 from .wpoly import (
     WPolynomial,
@@ -52,6 +53,16 @@ class PlaneCurve:
         return f"PlaneCurve({self.poly.to_string()!r}, weight={self.weight}, degree={self.degree})"
 
 
+def _clause_terms(d: int, a: Weight, i: int) -> list[tuple[int, int]]:
+    """The (j, m) of every degree-d term x_j x_i^m, j != i: the terms that
+    clause (ii) accepts at i."""
+    return [
+        (j, (d - aj) // a[i])
+        for j, aj in enumerate(a)
+        if j != i and d >= aj and (d - aj) % a[i] == 0
+    ]
+
+
 def numeric_constraint_violations(d: int, a: Weight) -> list[str]:
     """The degree/weight conditions of the sufficiently-general definition."""
     out = []
@@ -61,9 +72,8 @@ def numeric_constraint_violations(d: int, a: Weight) -> list[str]:
         if d < ai:
             out.append(f"d >= a_{i} fails ({d} < {ai})")
     for i, ai in enumerate(a):
-        if d % ai != 0:
-            if not any(j != i and (d - a[j]) % ai == 0 and d - a[j] >= 0 for j in range(len(a))):
-                out.append(f"clause (ii) numeric fails at i={i}: no j with a_{i} | d - a_j")
+        if d % ai != 0 and not _clause_terms(d, a, i):
+            out.append(f"clause (ii) numeric fails at i={i}: no j with a_{i} | d - a_j")
     return out
 
 
@@ -81,23 +91,12 @@ def sufficiently_general(c: PlaneCurve) -> tuple[bool, list[str]]:
             e = tuple(d // ai if k == i else 0 for k in range(3))
             if e not in support:
                 violations.append(f"clause (i) fails at i={i}: missing {names[i]}^{d // ai}")
-        else:
-            wanted = []
-            found = False
-            for j in range(3):
-                if j == i or (d - a[j]) % ai != 0 or d - a[j] < 0:
-                    continue
-                m = (d - a[j]) // ai
-                e = tuple(
-                    (1 if k == j else 0) + (m if k == i else 0) for k in range(3)
-                )
-                wanted.append(f"{names[j]}*{names[i]}^{m}")
-                if e in support:
-                    found = True
-            if wanted and not found:
-                violations.append(
-                    f"clause (ii) fails at i={i}: none of {', '.join(wanted)} present"
-                )
+            continue
+        terms = _clause_terms(d, a, i)
+        exponents = [tuple(int(k == j) + (m if k == i else 0) for k in range(3)) for j, m in terms]
+        if terms and support.isdisjoint(exponents):
+            wanted = ", ".join(f"{names[j]}*{names[i]}^{m}" for j, m in terms)
+            violations.append(f"clause (ii) fails at i={i}: none of {wanted} present")
     return not violations, violations
 
 
@@ -137,19 +136,22 @@ def straight_cover(c: PlaneCurve) -> PlaneCurve:
     return PlaneCurve(power_substitute(c.poly))
 
 
-def _squarefree(g: UPolynomial) -> bool:
-    return g.degree() == 0 or upoly_gcd(g, g.derivative()).degree() == 0
+def _edges(c: PlaneCurve) -> list[UPolynomial]:
+    """The three edge restrictions of the straight cover; none may be zero."""
+    cover = straight_cover(c).poly
+    edges = [restrict_to_edge(cover, i) for i in range(3)]
+    for i, g in enumerate(edges):
+        if g.is_zero():
+            raise DegenerateEdge(f"edge {i} restriction is identically zero")
+    return edges
 
 
 def edge_squarefree_check(c: PlaneCurve) -> tuple[bool, list[dict]]:
     """Squarefreeness of the three edge restrictions of the straight cover."""
-    cover = straight_cover(c).poly
-    rows = []
-    for i in range(3):
-        g = restrict_to_edge(cover, i)
-        if g.is_zero():
-            raise DegenerateEdge(f"edge {i} restriction is identically zero")
-        rows.append({"i": i, "poly": g, "squarefree": _squarefree(g)})
+    rows = [
+        {"i": i, "poly": g, "squarefree": distinct_root_count(g) == g.degree()}
+        for i, g in enumerate(_edges(c))
+    ]
     return all(r["squarefree"] for r in rows), rows
 
 
@@ -168,8 +170,10 @@ def _check_degree_weight(d: int, a: Weight) -> Weight:
 
 
 def _least_solution(step: int, target: int, mod: int, start: int = 0) -> int:
-    """The least t >= start with t*step = target (mod mod); step is a unit mod mod."""
-    return next(t for t in range(start, start + mod) if (t * step - target) % mod == 0)
+    """The least t >= start with t*step = target (mod mod), start <= 1; step
+    is a unit mod mod."""
+    t = target * pow(step, -1, mod) % mod
+    return t + mod if t < start else t
 
 
 def edge_point_count(d: int, a: Weight, i: int) -> int:
@@ -195,9 +199,7 @@ def _vertex_singularity(d: int, a: Weight, j: int) -> tuple[int, int]:
     Clause (ii) gives a term x_k x_j^m, so the cover is locally
     u^{a_k} = c v^{s a_l} + ..., s the least s >= 1 with s*a_l = d (mod a_j).
     """
-    k = next(
-        k for k in ((j + 1) % 3, (j + 2) % 3) if d >= a[k] and (d - a[k]) % a[j] == 0
-    )
+    k = _clause_terms(d, a, j)[0][0]
     l = 3 - j - k
     power = _least_solution(a[l], d, a[j], 1) * a[l]
     r = gcd(a[k], power)
@@ -274,50 +276,28 @@ def branch_census(c: PlaneCurve) -> dict:
     Runs on any sufficiently-general curve; non-squarefree edges are
     reported, not rejected.  An identically-zero edge is an error.
     """
-    ok, violations = sufficiently_general(c)
-    if not ok:
-        raise NotSufficientlyGeneral("; ".join(violations))
-    cover = straight_cover(c).poly
+    vertices = list(vertex_membership(c))
     d, a = c.degree, c.weight
     edges = []
-    for i in range(3):
-        g = restrict_to_edge(cover, i)
-        if g.is_zero():
-            raise DegenerateEdge(f"edge {i} restriction is identically zero")
-        count = distinct_root_count(g, exclude_zero=True)
+    for i, g in enumerate(_edges(c)):
+        roots = distinct_root_count(g)
+        count = roots - 1 if g.constant() == g.field.zero else roots
         predicted = edge_point_count(d, a, i)
         edges.append(
-            {
-                "i": i,
-                "count": count,
-                "predicted": predicted,
-                "agree": count == predicted,
-                "squarefree": _squarefree(g),
-            }
+            dict(i=i, count=count, predicted=predicted, agree=count == predicted, squarefree=roots == g.degree())
         )
-    return {
-        "d": d,
-        "weights": list(a),
-        "edges": edges,
-        "vertices": list(vertex_membership(c)),
-    }
+    return {"d": d, "weights": list(a), "edges": edges, "vertices": vertices}
 
 
 def sweep_instances(max_entry: int = 9, max_degree: int = 60):
     """All (d, a) with a pairwise-coprime non-decreasing, entries <= max_entry,
     d <= max_degree, meeting the numeric sufficiently-general constraints.
     """
-    for a0 in range(1, max_entry + 1):
-        for a1 in range(a0, max_entry + 1):
-            if gcd(a0, a1) != 1:
-                continue
-            for a2 in range(a1, max_entry + 1):
-                if gcd(a0, a2) != 1 or gcd(a1, a2) != 1:
-                    continue
-                a = (a0, a1, a2)
-                for d in range(2, max_degree + 1):
-                    if not numeric_constraint_violations(d, a):
-                        yield d, a
+    for a in combinations_with_replacement(range(1, max_entry + 1), 3):
+        if all(gcd(x, y) == 1 for x, y in combinations(a, 2)):
+            for d in range(2, max_degree + 1):
+                if not numeric_constraint_violations(d, a):
+                    yield d, a
 
 
 def integrality_sweep(max_entry: int = 9, max_degree: int = 60) -> dict:

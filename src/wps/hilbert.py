@@ -179,6 +179,16 @@ def ci_relation_degrees(num: UPolynomial) -> list[int] | None:
     return sorted(out)
 
 
+def numerator_degree_bound(e: EllSequence, weights, k: int = 1) -> int:
+    """A bound on deg N(t) for the sequence ell(kn) over `weights`.
+
+    ell(kn) is linear in n once kn passes the n0 = |ambiguous range|, so
+    (1-t)^2 sum ell(kn) t^n has degree <= n0//k + 2, and N(t) is that times
+    prod(1 - t^{a_i}) / (1-t)^2, of degree sum(a) - 2.
+    """
+    return len(e.ambiguous_range()) // k + sum(weights)
+
+
 def embedding_report(e: EllSequence, rows, max_degree: int | None = None) -> list[dict]:
     """For each (k, weights) row: feed ell(kn) to numerator recovery.
 
@@ -188,7 +198,7 @@ def embedding_report(e: EllSequence, rows, max_degree: int | None = None) -> lis
     report = []
     for k, weights in rows:
         weights = _check_weights(weights)
-        bound = max_degree if max_degree is not None else 2 * sum(weights)
+        bound = max_degree if max_degree is not None else numerator_degree_bound(e, weights, k)
         num = numerator_from_sequence(lambda n, k=k: e(k * n), weights, bound)
         report.append(
             {

@@ -158,6 +158,9 @@ def verify_orbit_stabilizer(a: Weight, p: int) -> dict:
     """|orbit| * |stabilizer| = a_0...a_n for every straight projective point."""
     a = check_weight(a)
     group_order = prod(a)
+    count = sum(p**k for k in range(len(a)))  # |P^{n-1}(F_p)| = (p^n - 1)/(p - 1)
+    if group_order * count > _MAX_VECTORS:
+        raise TooLarge(f"{group_order} group elements times {count} points exceed the scan limit")
     failures = []
     points = _straight_points(len(a), p)
     for x in points:

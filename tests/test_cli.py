@@ -184,6 +184,18 @@ def test_hilbert_numerator_with_overrides(capsys):
     assert out == ["1 - t + t^4"]
 
 
+def test_hilbert_numerator_default_bound(capsys):
+    # degree 6 > 2*sum(weights): the default bound is the proved one,
+    # |ambiguous range| + sum(weights), not a guess
+    code, out, _ = run(
+        capsys,
+        "hilbert", "numerator", "--weights", "1,1", "--genus", "3", "--deg", "1",
+        "--override", "1=1", "--override", "2=2", "--override", "3=2", "--override", "4=3",
+    )
+    assert code == 0
+    assert out == ["1 - t + t^2 - t^3 + t^4 - t^5 + t^6"]
+
+
 def test_hilbert_table_defaults(capsys):
     code, out, _ = run(capsys, "hilbert", "table")
     assert code == 0
@@ -257,6 +269,18 @@ def test_oracle_run(capsys):
     assert code == 0
     assert out[-1] == "11/11 checks passed"
     assert all(line.startswith("ok ") for line in out[:-1])
+
+
+def test_oracle_orbit_stabilizer_budget(capsys, tmp_path):
+    # 27,000 group elements times 993 straight points: rejected before the
+    # group or the points are built
+    manifest = tmp_path / "big.manifest"
+    manifest.write_text("verify=orbit_stabilizer weights=30,30,30 p=31\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "run", "--manifest", str(manifest))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == [] and err[0].startswith("error[E_TOO_LARGE]")
 
 
 def test_oracle_run_missing_file(capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
@@ -13,10 +14,12 @@ from wps.errors import (
     NotHomogeneous,
     NotSufficientlyGeneral,
     NotWellFormed,
+    WPSError,
 )
 import wps.curves
 from wps.curves import (
     PlaneCurve,
+    _least_solution,
     branch_census,
     branching_index,
     edge_squarefree_check,
@@ -32,10 +35,11 @@ from wps.curves import (
     sweep_instances,
     vertex_membership,
 )
-from wps.exactmath import QQ
+from wps.exactmath import QQ, PrimeField, distinct_root_count, upoly_gcd
 from wps.parser import parse_polynomial
 from wps.truncation import graded_piece_basis
-from wps.wpoly import WPolynomial
+from wps.weights import is_well_formed
+from wps.wpoly import WPolynomial, restrict_to_edge, variable_names
 
 
 def curve(text, weight):
@@ -298,3 +302,169 @@ def test_integrality_sweep_regression():
     result = integrality_sweep()
     assert result["checked"] == 777
     assert result["failures"] == []
+
+
+# === references: the explicit loops these functions replaced ===
+
+
+def _ref_numeric(d, a):
+    out = []
+    if d < 2:
+        out.append(f"d >= 2 fails (d={d})")
+    for i, ai in enumerate(a):
+        if d < ai:
+            out.append(f"d >= a_{i} fails ({d} < {ai})")
+    for i, ai in enumerate(a):
+        if d % ai != 0:
+            if not any(j != i and (d - a[j]) % ai == 0 and d - a[j] >= 0 for j in range(len(a))):
+                out.append(f"clause (ii) numeric fails at i={i}: no j with a_{i} | d - a_j")
+    return out
+
+
+def _ref_sufficiently_general(c):
+    a = c.weight
+    if not is_well_formed(a):
+        raise NotWellFormed(f"weight {a} is not well-formed")
+    d = c.degree
+    names = variable_names(3)
+    violations = _ref_numeric(d, a)
+    support = c.poly.support()
+    for i, ai in enumerate(a):
+        if d % ai == 0:
+            e = tuple(d // ai if k == i else 0 for k in range(3))
+            if e not in support:
+                violations.append(f"clause (i) fails at i={i}: missing {names[i]}^{d // ai}")
+        else:
+            wanted = []
+            found = False
+            for j in range(3):
+                if j == i or (d - a[j]) % ai != 0 or d - a[j] < 0:
+                    continue
+                m = (d - a[j]) // ai
+                e = tuple((1 if k == j else 0) + (m if k == i else 0) for k in range(3))
+                wanted.append(f"{names[j]}*{names[i]}^{m}")
+                if e in support:
+                    found = True
+            if wanted and not found:
+                violations.append(f"clause (ii) fails at i={i}: none of {', '.join(wanted)} present")
+    return not violations, violations
+
+
+def _ref_least_solution(step, target, mod, start=0):
+    return next(t for t in range(start, start + mod) if (t * step - target) % mod == 0)
+
+
+def _ref_squarefree(g):
+    return g.degree() == 0 or upoly_gcd(g, g.derivative()).degree() == 0
+
+
+def _ref_edge_point_count(d, a, i):
+    k, l = (i + 1) % 3, (i + 2) % 3
+    return d - _ref_least_solution(a[k], d, a[l]) * a[k] - _ref_least_solution(a[l], d, a[k]) * a[l]
+
+
+def _ref_branch_census(c):
+    ok, violations = _ref_sufficiently_general(c)
+    if not ok:
+        raise NotSufficientlyGeneral("; ".join(violations))
+    cover = straight_cover(c).poly
+    d, a = c.degree, c.weight
+    edges = []
+    for i in range(3):
+        g = restrict_to_edge(cover, i)
+        if g.is_zero():
+            raise DegenerateEdge(f"edge {i} restriction is identically zero")
+        count = distinct_root_count(g, exclude_zero=True)
+        predicted = _ref_edge_point_count(d, a, i)
+        edges.append(
+            {"i": i, "count": count, "predicted": predicted, "agree": count == predicted,
+             "squarefree": _ref_squarefree(g)}
+        )
+    return {"d": d, "weights": list(a), "edges": edges, "vertices": list(vertex_membership(c))}
+
+
+def _ref_edge_squarefree_check(c):
+    cover = straight_cover(c).poly
+    rows = []
+    for i in range(3):
+        g = restrict_to_edge(cover, i)
+        if g.is_zero():
+            raise DegenerateEdge(f"edge {i} restriction is identically zero")
+        rows.append({"i": i, "poly": g, "squarefree": _ref_squarefree(g)})
+    return all(r["squarefree"] for r in rows), rows
+
+
+def _ref_sweep_instances(max_entry, max_degree):
+    for a0 in range(1, max_entry + 1):
+        for a1 in range(a0, max_entry + 1):
+            if gcd(a0, a1) != 1:
+                continue
+            for a2 in range(a1, max_entry + 1):
+                if gcd(a0, a2) != 1 or gcd(a1, a2) != 1:
+                    continue
+                a = (a0, a1, a2)
+                for d in range(2, max_degree + 1):
+                    if not _ref_numeric(d, a):
+                        yield d, a
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except WPSError as exc:
+        return type(exc), str(exc)
+
+
+def _random_curve(rng):
+    """A seeded curve, mostly on well-formed weights: random terms, and half
+    the time for each i the pure power x_i^m or else one random term
+    x_j x_i^m, which makes the curve general when such terms exist."""
+    while True:
+        a = tuple(sorted(rng.randint(1, 7) for _ in range(3)))
+        d = rng.randint(2, 12)
+        basis = graded_piece_basis(a, d)
+        if basis and (is_well_formed(a) or rng.random() < 0.1):
+            break
+    chosen = set(rng.sample(basis, rng.randint(1, len(basis)))) if rng.random() < 0.5 else set()
+    if not chosen or rng.random() < 0.5:
+        for i in range(3):
+            options = [e for e in basis if e[i] * a[i] == d] or [e for e in basis if sum(e) - e[i] == 1]
+            if options:
+                chosen.add(rng.choice(options))
+    field = rng.choice([QQ, QQ, PrimeField(7)])
+    terms = {e: rng.randint(1, 6) * rng.choice([-1, 1]) for e in chosen}
+    return PlaneCurve(WPolynomial(a, field, terms))
+
+
+def test_curves_match_reference_loops():
+    rng = random.Random(2016)
+    seen = Counter()
+    for _ in range(1000):
+        c = _random_curve(rng)
+        general = _outcome(_ref_sufficiently_general, c)
+        assert _outcome(sufficiently_general, c) == general
+        assert numeric_constraint_violations(c.degree, c.weight) == _ref_numeric(c.degree, c.weight)
+        census = _outcome(_ref_branch_census, c)
+        assert _outcome(branch_census, c) == census, c
+        assert _outcome(edge_squarefree_check, c) == _outcome(_ref_edge_squarefree_check, c)
+        seen[general[0] == "ok" and general[1][0], census[0]] += 1
+    # every branch is exercised: general curves with and without a degenerate
+    # edge, curves that fail a clause, and weights that are not well-formed
+    assert seen[True, "ok"] >= 200
+    assert seen[True, DegenerateEdge] >= 20
+    assert seen[False, NotSufficientlyGeneral] >= 200
+    assert seen[False, NotWellFormed] >= 50
+
+
+def test_least_solution_matches_scan():
+    for mod in range(1, 31):
+        for step in range(1, mod + 1):
+            if gcd(step, mod) != 1:
+                continue
+            for target in range(-mod, 2 * mod):
+                for start in (0, 1):
+                    assert _least_solution(step, target, mod, start) == _ref_least_solution(step, target, mod, start)
+
+
+def test_sweep_matches_nested_loops():
+    assert list(sweep_instances(9, 60)) == list(_ref_sweep_instances(9, 60))
