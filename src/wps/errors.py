@@ -77,6 +77,17 @@ class TooLarge(WPSError):
     code = "E_TOO_LARGE"
 
 
+# Requests at the limit take about a second on a 2-core VM (Python 3.11):
+# (x+y)^499 parses in 1.2 s and `hilbert numerator -N 250000` in 1.2 s.
+WORK_LIMIT = 250_000
+
+
+def check_work(work: int, what: str) -> None:
+    """Raise TooLarge, before the work starts, when `what` needs more than WORK_LIMIT steps."""
+    if work > WORK_LIMIT:
+        raise TooLarge(f"{what} exceeds the work limit of {WORK_LIMIT} steps")
+
+
 class ParseError(WPSError):
     """Syntax error in a polynomial, weight, or point string."""
 

@@ -460,17 +460,27 @@ def upoly_gcd(a: UPolynomial, b: UPolynomial) -> UPolynomial:
 
 
 def distinct_root_count(g: UPolynomial, exclude_zero: bool = False) -> int:
-    """Number of distinct roots of g in the algebraic closure.
-
-    Computed as deg(g / gcd(g, g')).  Over F_p this assumes every root
-    multiplicity is below p (the derivative loses p-fold factors).
-    """
+    """Number of distinct roots of g in the algebraic closure."""
     if g.is_zero():
         raise ZeroPolynomial("root count of the zero polynomial")
-    if g.degree() == 0:
-        return 0
-    sqf = g // upoly_gcd(g, g.derivative())
-    count = sqf.degree()
+    count = _distinct_roots(g)
     if exclude_zero and g.constant() == g.field.zero:
         count -= 1
     return count
+
+
+def _distinct_roots(g: UPolynomial) -> int:
+    """deg(g / gcd(g, g')) counts the roots whose multiplicity the
+    characteristic does not divide.  Over F_p the others are the roots of
+    gcd(g, g') with its common factors with g / gcd(g, g') stripped: a
+    polynomial in t^p, whose p-th root (the same coefficients on t, as
+    c^p = c in F_p) has the same distinct roots."""
+    if g.degree() == 0:
+        return 0
+    c = upoly_gcd(g, g.derivative())
+    sqf = g // c
+    if not isinstance(g.field, PrimeField) or c.degree() == 0:
+        return sqf.degree()
+    while (s := upoly_gcd(c, sqf)).degree() > 0:
+        c = c // s
+    return sqf.degree() + _distinct_roots(UPolynomial(g.field, c.coeffs[:: g.field.p]))

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import AmbiguousLowDegree, NumeratorNotPolynomial
+from .errors import AmbiguousLowDegree, NumeratorNotPolynomial, check_work
 from .exactmath import QQ, UPolynomial
 from .truncation import graded_piece_basis
 
@@ -67,6 +67,7 @@ def expand(s: HilbertSeries, n: int) -> list[int]:
     """
     if n < 0:
         raise ValueError("expansion length must be non-negative")
+    check_work(n, f"series expansion to degree {n}")
     num = _int_coeffs(s.numerator)
     c = num[: n + 1] + [0] * max(0, n + 1 - len(num))
     for a in s.denominator_weights:
@@ -133,6 +134,7 @@ def numerator_from_sequence(coeffs, a, max_degree: int) -> UPolynomial:
     coefficient beyond max_degree raises NumeratorNotPolynomial.
     """
     a = _check_weights(a)
+    check_work(max_degree, f"numerator to degree {max_degree}")
     get = _provider(coeffs)
     horizon = max_degree + sum(a)
     c = [int(get(n)) for n in range(horizon + 1)]

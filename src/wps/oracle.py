@@ -157,6 +157,7 @@ def verify_point_equality(a: Weight, p: int, max_recorded: int = 20) -> dict:
 def verify_orbit_stabilizer(a: Weight, p: int) -> dict:
     """|orbit| * |stabilizer| = a_0...a_n for every straight projective point."""
     a = check_weight(a)
+    PrimeField(p)  # a modulus that is not prime raises before any work
     group_order = prod(a)
     count = sum(p**k for k in range(len(a)))  # |P^{n-1}(F_p)| = (p^n - 1)/(p - 1)
     if group_order * count > _MAX_VECTORS:
@@ -224,27 +225,43 @@ def verify_veronese(a: Weight, d: int, p: int | None = None, cap: int | None = N
     }
 
 
-def _vanishes(f, x: tuple[int, ...], p: int) -> bool:
-    """Whether the F_p polynomial f vanishes at the residue vector x."""
-    return sum(c.value * prod(pow(v, k, p) for v, k in zip(x, e)) for e, c in f.terms.items()) % p == 0
+def _power_rows(polys, p: int) -> list[list[tuple]]:
+    """Each F_p polynomial as rows (c, T_x, T_y, T_z): c the coefficient
+    residue of a term x^i y^j z^k, and T_x[v] = v^i mod p for v = 0..p-1
+    (likewise T_y, T_z), one table per exponent shared by all rows."""
+    exponents = {k for g in polys for e in g.terms for k in e}
+    tables = {k: [pow(v, k, p) for v in range(p)] for k in exponents}
+    return [[(c.value, *(tables[k] for k in e)) for e, c in g.terms.items()] for g in polys]
+
+
+def _vanishes(rows, x: tuple[int, ...], p: int) -> bool:
+    """Whether the polynomial given by `_power_rows` vanishes at the residue vector x."""
+    u, v, w = x
+    return sum(c * tu[u] * tv[v] * tw[w] for c, tu, tv, tw in rows) % p == 0
 
 
 def scan_curve_points(c: PlaneCurve, p: int) -> dict:
-    """Count the F_p^*-orbits of vectors, on the curve, and singular there.
+    """Count the F_p-points, and the F_p^*-orbits of vectors, on the curve,
+    and the orbits singular there.
 
     A cone scan: a nonzero vector lies in an orbit of (p-1)/gcd(g_S, p-1)
     vectors, g_S the gcd of the weights on its support, so each vector adds
-    gcd(g_S, p-1) to a tally of p-1 times the orbit count.
+    gcd(g_S, p-1) to a tally of p-1 times the orbit count.  Every F_p-point
+    of P(a) has exactly p-1 vectors over F_p (lambda^(a_i) in F_p on the
+    support gives lambda^(g_S) in F_p, and mu_(g_S) cancels that factor),
+    so each vector on the curve also adds 1 to p-1 times the point count.
+    f and its partials are evaluated by table lookups on int residues.
     """
     f = reduce_mod(c.poly, p)
     a = c.weight
-    parts = [partial(f, i) for i in range(3)]
-    total = on_curve = singular = 0
+    rows, *parts = _power_rows([f] + [partial(f, i) for i in range(3)], p)
+    total = on_curve = rational = singular = 0
     for x in _all_vectors(a, p):
         w = gcd(p - 1, *(ai for ai, v in zip(a, x) if v))
         total += w
-        if _vanishes(f, x, p):
+        if _vanishes(rows, x, p):
             on_curve += w
+            rational += 1
             singular += w * all(_vanishes(g, x, p) for g in parts)
     return {
         "weights": list(a),
@@ -252,18 +269,19 @@ def scan_curve_points(c: PlaneCurve, p: int) -> dict:
         "d": c.degree,
         "total_points": total // (p - 1),
         "points_on_curve": on_curve // (p - 1),
+        "rational_points": rational // (p - 1),
         "singular_points": singular // (p - 1),
     }
 
 
 # === manifest driver ===
 
-_INT_KEYS = {"p", "d", "cap", "expect_points", "expect_singular"}
+_INT_KEYS = {"p", "d", "cap", "expect_points", "expect_rational_points", "expect_singular"}
 _KNOWN = {
     "point_equality": {"weights", "p"},
     "orbit_stabilizer": {"weights", "p"},
     "veronese": {"weights", "p", "d", "cap"},
-    "curve_scan": {"weights", "p", "poly", "expect_points", "expect_singular"},
+    "curve_scan": {"weights", "p", "poly", "expect_points", "expect_rational_points", "expect_singular"},
 }
 _REQUIRED = {
     "point_equality": {"weights", "p"},
@@ -325,7 +343,11 @@ def run_job(job: dict) -> dict:
     else:
         f = parse_polynomial(job["poly"], a)
         report = scan_curve_points(PlaneCurve(f), p)
-        expected = {"points_on_curve": "expect_points", "singular_points": "expect_singular"}
+        expected = {
+            "points_on_curve": "expect_points",
+            "rational_points": "expect_rational_points",
+            "singular_points": "expect_singular",
+        }
         ok = all(report[k] == job[e] for k, e in expected.items() if e in job)
         summary = (
             f"{report['points_on_curve']} on curve, "

@@ -9,8 +9,9 @@ is rejected ('2x' must be '2*x').
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
-from .errors import ParseError, TooLarge, UnknownVariable
+from .errors import ParseError, TooLarge, UnknownVariable, check_work
 from .exactmath import QQ
 from .weights import Weight
 from .wpoly import WPolynomial, variable_names
@@ -127,7 +128,12 @@ class _Parser:
         if tok is not None and tok.kind == "^":
             self.take()
             exp = self.take("num")
-            base = base ** int(exp.text)
+            m, t = int(exp.text), len(base.terms)
+            if t:
+                # base^m has at most B = C(m+t-1, t-1) terms, and one product of
+                # the squaring chain multiplies at most B by B terms
+                check_work(comb(m + t - 1, t - 1) ** 2, f"{t}-term base raised to {m} at position {tok.pos}")
+            base = base**m
         return base
 
     def primary(self) -> WPolynomial:

@@ -283,6 +283,15 @@ def test_oracle_orbit_stabilizer_budget(capsys, tmp_path):
     assert out == [] and err[0].startswith("error[E_TOO_LARGE]")
 
 
+@pytest.mark.parametrize("line, p", [("verify=orbit_stabilizer weights=1,1,1 p=4", 4), ("verify=orbit_stabilizer weights=1,1,2 p=1", 1)])
+def test_oracle_orbit_stabilizer_needs_prime(capsys, tmp_path, line, p):
+    manifest = tmp_path / "one.manifest"
+    manifest.write_text(line + "\n")
+    code, out, err = run(capsys, "oracle", "run", "--manifest", str(manifest))
+    assert code == 1
+    assert out == [] and err == [f"error[E_VALUE]: modulus {p} is not prime"]
+
+
 def test_oracle_run_missing_file(capsys):
     code, out, err = run(capsys, "oracle", "run", "--manifest", "no-such-file")
     assert code == 1
@@ -372,6 +381,23 @@ def test_truncate_box_too_large(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert payload["error"]["code"] == "E_TOO_LARGE"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--weights", "1,1,1", "--poly", "(x+y+z)^3000"],
+        ["hilbert", "expand", "--weights", "1,1", "-N", "30000000"],
+        ["hilbert", "numerator", "--weights", "1,1", "--genus", "1", "--deg", "3", "-N", "30000000"],
+    ],
+)
+def test_work_limit_refuses_before_the_work(capsys, argv):
+    start = time.perf_counter()
+    code, payload = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert payload["error"]["code"] == "E_TOO_LARGE"
+    assert "exceeds the work limit of 250000 steps" in payload["error"]["message"]
 
 
 def test_json_env_var(capsys, monkeypatch):

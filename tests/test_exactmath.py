@@ -252,3 +252,42 @@ def test_distinct_root_count_random_products():
         assert distinct_root_count(f) == len(roots)
         expect = len([r for r in roots if r != 0])
         assert distinct_root_count(f, exclude_zero=True) == expect
+
+
+def test_distinct_root_count_sees_p_fold_roots():
+    # over F_3, (t-1)^3 (t-2): gcd(g, g') = (t-1)^3 hides the root 1
+    f3 = PrimeField(3)
+    assert distinct_root_count(_upoly(f3, -1, 1) ** 3 * _upoly(f3, -2, 1)) == 2
+    assert distinct_root_count(_upoly(f3, 0, 1) ** 9 * _upoly(f3, 1, 0, 1) ** 3) == 3  # t^9 (t^2+1)^3
+    assert distinct_root_count(_upoly(f3, 0, 1) ** 9 * _upoly(f3, 1, 0, 1) ** 3, exclude_zero=True) == 2
+
+
+def test_distinct_root_count_over_fp_random_multiplicities():
+    # distinct linear factors and one irreducible quadratic t^2 - n, n a non-residue
+    rng = random.Random(13)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 7, 11])
+        field = PrimeField(p)
+        roots = rng.sample(range(p), rng.randrange(1, min(p, 4) + 1))
+        f = _upoly(field, rng.randrange(1, p))
+        for r in roots:
+            f = f * _upoly(field, -r, 1) ** rng.randrange(1, 2 * p + 1)
+        non_residues = sorted(set(range(1, p)) - {v * v % p for v in range(1, p)})
+        quadratic = bool(non_residues) and rng.random() < 0.5
+        if quadratic:
+            f = f * _upoly(field, -rng.choice(non_residues), 0, 1) ** rng.randrange(1, 2 * p + 1)
+        assert distinct_root_count(f) == len(roots) + 2 * quadratic, (p, f.coeffs)
+
+
+def test_distinct_root_count_unchanged_below_p():
+    # every multiplicity below p: deg(g / gcd(g, g')) was already exact
+    rng = random.Random(17)
+    for _ in range(200):
+        p = rng.choice([3, 5, 7, 11, 13])
+        field = PrimeField(p)
+        f = _upoly(field, rng.randrange(1, p))
+        for r in rng.sample(range(p), rng.randrange(0, 4)):
+            f = f * _upoly(field, -r, 1) ** rng.randrange(1, p)
+        non_residues = sorted(set(range(1, p)) - {v * v % p for v in range(1, p)})
+        f = f * _upoly(field, -rng.choice(non_residues), 0, 1) ** rng.randrange(0, p)
+        assert distinct_root_count(f) == (f // upoly_gcd(f, f.derivative())).degree(), (p, f.coeffs)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from wps.errors import AmbiguousLowDegree, NumeratorNotPolynomial
+from wps.errors import WORK_LIMIT, AmbiguousLowDegree, NumeratorNotPolynomial, TooLarge
 from wps.exactmath import QQ, UPolynomial
 from wps.hilbert import (
     EllSequence,
@@ -46,6 +46,14 @@ def test_expand_guards():
         HilbertSeries(UPolynomial(QQ, [Fraction(1, 2)]), (1, 1))
     with pytest.raises(ValueError, match="must be positive"):
         HilbertSeries(UPolynomial(QQ, [1]), (1, 0))
+
+
+def test_degree_past_the_work_limit_is_refused_before_the_work():
+    with pytest.raises(TooLarge, match=f"series expansion to degree {WORK_LIMIT + 1} exceeds the work limit"):
+        series("1", (1, 1)).expand(WORK_LIMIT + 1)
+    with pytest.raises(TooLarge, match=f"numerator to degree {WORK_LIMIT + 1} exceeds the work limit"):
+        numerator_from_sequence(ELLIPTIC, (1, 2, 3), WORK_LIMIT + 1)
+    assert len(series("1", (1, 1)).expand(WORK_LIMIT)) == WORK_LIMIT + 1
 
 
 def test_to_string():

@@ -1,8 +1,9 @@
 import gc
 import random
 import time
+from collections import Counter
 from itertools import product
-from math import lcm
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import wps.geometry
 from wps.curves import PlaneCurve
 from wps.errors import PrimeUnsuitable, TooLarge
-from wps.exactmath import PrimeField
+from wps.exactmath import QQ, PrimeField
 from wps.geometry import WPoint, eq_geometric, eq_rational, normalize
 from wps.oracle import (
     ClosureEquality,
@@ -26,7 +27,8 @@ from wps.oracle import (
 )
 from wps.parser import parse_polynomial
 from wps.truncation import graded_piece_basis
-from wps.wpoly import evaluate, partial, reduce_mod
+from wps.weights import is_well_formed
+from wps.wpoly import WPolynomial, evaluate, partial, reduce_mod
 
 MANIFEST = Path(__file__).resolve().parent.parent / "manifests" / "default.manifest"
 
@@ -321,11 +323,12 @@ def test_scan_curve_points_frozen():
     report = scan_curve_points(c, 7)
     assert report["total_points"] == 146
     assert report["points_on_curve"] == 20
+    assert report["rational_points"] == 8, "P(12,20,30) is P^2 and the curve a line: 7 + 1 points"
     assert report["singular_points"] == 0
     line = PlaneCurve(parse_polynomial("x", (1, 1, 1)))
     report = scan_curve_points(line, 3)
     assert report["total_points"] == 13
-    assert report["points_on_curve"] == 4
+    assert report["points_on_curve"] == report["rational_points"] == 4
     assert report["singular_points"] == 0
 
 
@@ -365,6 +368,93 @@ def test_scan_finds_singular_points():
     cusp = PlaneCurve(parse_polynomial("y^2*z - x^3", (1, 1, 1)))
     report = scan_curve_points(cusp, 5)
     assert report["singular_points"] == 1, "the cusp at |0:0:1|"
+
+
+def _ref_vanishes(f, x, p):
+    # the pow-based evaluation the table scan replaced
+    return sum(c.value * prod(pow(v, k, p) for v, k in zip(x, e)) for e, c in f.terms.items()) % p == 0
+
+
+def _ref_scan_curve_points(c, p):
+    # the pow-based cone scan the table scan replaced, with the point count
+    f = reduce_mod(c.poly, p)
+    a = c.weight
+    parts = [partial(f, i) for i in range(3)]
+    total = on_curve = rational = singular = 0
+    for x in product(range(p), repeat=3):
+        if not any(x):
+            continue
+        w = gcd(p - 1, *(ai for ai, v in zip(a, x) if v))
+        total += w
+        if _ref_vanishes(f, x, p):
+            on_curve += w
+            rational += 1
+            singular += w * all(_ref_vanishes(g, x, p) for g in parts)
+    return {
+        "weights": list(a),
+        "p": p,
+        "d": c.degree,
+        "total_points": total // (p - 1),
+        "points_on_curve": on_curve // (p - 1),
+        "rational_points": rational // (p - 1),
+        "singular_points": singular // (p - 1),
+    }
+
+
+def test_scan_curve_points_matches_pow_reference():
+    rng = random.Random(20160722)
+    seen = Counter()
+    curves = 0
+    while curves < 1000:
+        a = tuple(rng.randint(1, 6) for _ in range(3))
+        monos = graded_piece_basis(a, rng.randint(1, 12))
+        if not monos:
+            continue
+        p = rng.choices([2, 3, 5, 7, 11, 13, 17], weights=[8, 8, 8, 8, 4, 1, 1])[0]
+        terms = {e: rng.choice([-1, 1]) * rng.randint(1, 40) for e in rng.sample(monos, min(len(monos), rng.randint(1, 5)))}
+        c = PlaneCurve(WPolynomial(a, QQ, terms))
+        report = scan_curve_points(c, p)
+        assert report == _ref_scan_curve_points(c, p), (a, terms, p)
+        curves += 1
+        seen[p] += 1
+        seen["zero coefficient"] += any(v % p == 0 for v in terms.values())
+        seen["p | a_i"] += any(ai % p == 0 for ai in a)
+        seen["not well-formed"] += not is_well_formed(a)
+        seen["singular"] += report["singular_points"] > 0
+        seen["smooth point"] += report["points_on_curve"] > report["singular_points"]
+    assert all(seen[p] >= 15 for p in (2, 3, 5, 7, 11, 13, 17)), seen
+    assert all(seen[k] >= 200 for k in ("zero coefficient", "p | a_i", "not well-formed", "singular", "smooth point")), seen
+
+
+def _closure_point_count(c, p):
+    # F_p-points as distinct closure classes of the F_p-vectors on the curve
+    f = reduce_mod(c.poly, p)
+    field, oracle = f.field, ClosureEquality(c.weight, p)
+    on = (x for x in product(range(p), repeat=3) if any(x) and evaluate(f, [field.coerce(v) for v in x]) == field.zero)
+    return len({oracle.key(x) for x in on})
+
+
+def test_rational_points_match_closure_classes():
+    rng = random.Random(1729)
+    for _ in range(60):
+        a = tuple(rng.randint(1, 6) for _ in range(3))
+        monos = graded_piece_basis(a, rng.randint(1, 12))
+        if not monos:
+            continue
+        p = rng.choice([2, 3, 5, 7, 11])
+        terms = {e: rng.randint(1, 40) for e in rng.sample(monos, min(len(monos), rng.randint(1, 4)))}
+        c = PlaneCurve(WPolynomial(a, QQ, terms))
+        assert scan_curve_points(c, p)["rational_points"] == _closure_point_count(c, p), (a, terms, p)
+
+
+@pytest.mark.parametrize("p, count", [(5, 9), (7, 5), (11, 14), (13, 18)])
+def test_weierstrass_cubic_counts_agree_in_p123(p, count):
+    # the paper's example: y^2 z = x^3 + A x z^2 + B z^3 in P^2 is z^2 = y^3 + A x^4 y + B x^6 in P(1,2,3)
+    plane = PlaneCurve(parse_polynomial("y^2*z - x^3 - x*z^2 - z^3", (1, 1, 1)))
+    weighted = PlaneCurve(parse_polynomial("z^2 - y^3 - x^4*y - x^6", (1, 2, 3)))
+    assert scan_curve_points(plane, p)["rational_points"] == count
+    assert scan_curve_points(weighted, p)["rational_points"] == count
+    assert _closure_point_count(weighted, p) == count
 
 
 # === manifests ===
@@ -409,6 +499,13 @@ def test_run_job_reports_failed_expectation():
     row = run_job(job)
     assert not row["ok"]
     assert row["summary"] == "4 on curve, 0 singular"
+
+
+def test_run_job_checks_expected_rational_points():
+    line = "verify=curve_scan weights=12,20,30 p=7 poly=x^5+y^3+z^2 expect_rational_points={}"
+    assert run_job(parse_manifest(line.format(8))[0])["ok"]
+    row = run_job(parse_manifest(line.format(20))[0])
+    assert not row["ok"] and row["report"]["rational_points"] == 8
 
 
 def test_reference_manifest_passes():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wps.errors import ParseError, UnknownVariable
+from wps.errors import ParseError, TooLarge, UnknownVariable
 from wps.exactmath import PrimeField, QQ, UPolynomial
 from wps.parser import parse_point_coords, parse_polynomial, parse_upolynomial
 from wps.truncation import graded_piece_basis
@@ -132,3 +132,13 @@ def test_parse_point_coords():
         parse_point_coords("1:2", QQ, 3)
     with pytest.raises(ParseError, match="bad coordinate"):
         parse_point_coords("1:q:3", QQ, 3)
+
+
+def test_power_term_bound_is_checked_before_the_work():
+    # (x+y)^m has at most C(m+1, 1) = m+1 terms, counted as (m+1)^2 steps:
+    # 500^2 is the limit, so the bound refuses (x+y)^500
+    with pytest.raises(TooLarge, match="2-term base raised to 500 at position 5 exceeds the work limit"):
+        parse_polynomial("(x+y)^500", (1, 1))
+    assert len(parse_polynomial("(x+y)^30", (1, 1)).terms) == 31
+    assert parse_polynomial("(2*x)^100000", (1, 1)).terms == {(100000, 0): Fraction(2) ** 100000}
+    assert parse_polynomial("0^7", (1, 1)).is_zero()
