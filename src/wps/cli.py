@@ -77,18 +77,22 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _step_lines(trace, notes: bool = False) -> list[str]:
+    """One line per well-forming step, with straighten's ideal note if asked."""
+    lines = []
+    for n, step in enumerate(trace, start=1):
+        spared = "" if step.spared is None else f" spared={step.spared}"
+        note = f" [{step.ideal_note}]" if notes else ""
+        lines.append(f"step {n}: case {step.case} d={step.d}{spared} {_fmt_weight(step.before)} -> {_fmt_weight(step.after)}{note}")
+    return lines
+
+
 # === handlers: each returns (ok, text lines, json data) ===
 
 
 def cmd_wellform(args, parser):
     result, trace = well_form(args.weights, prime_steps=args.prime_steps)
-    lines = [_fmt_weight(result)]
-    for n, step in enumerate(trace, start=1):
-        spared = "" if step.spared is None else f" spared={step.spared}"
-        lines.append(
-            f"step {n}: case {step.case} d={step.d}{spared} "
-            f"{_fmt_weight(step.before)} -> {_fmt_weight(step.after)}"
-        )
+    lines = [_fmt_weight(result), *_step_lines(trace)]
     if trace.is_empty():
         lines.append("already well-formed")
     data = {
@@ -106,10 +110,7 @@ def cmd_genus(args, parser):
             parser.error("--sweep does not take --weights/--degree")
         report = integrality_sweep(args.max_entry, args.max_degree)
         lines = [f"checked={report['checked']} failures={len(report['failures'])}"]
-        for row in report["failures"]:
-            lines.append(
-                f"d={row['d']} weights={_fmt_weight(row['weights'])}: {row['problem']}"
-            )
+        lines += [f"d={row['d']} weights={_fmt_weight(row['weights'])}: {row['problem']}" for row in report["failures"]]
         return not report["failures"], lines, report
     if args.weights is None or args.degree is None:
         parser.error("genus needs --weights and --degree (or --sweep)")
@@ -139,21 +140,17 @@ def cmd_check(args, parser):
     }
     if general:
         verts = vertex_membership(curve)
-        lines.append(
-            "vertices on curve: "
-            + " ".join(f"p{i}={_yn(v)}" for i, v in enumerate(verts))
-        )
+        lines.append("vertices on curve: " + " ".join(f"p{i}={_yn(v)}" for i, v in enumerate(verts)))
         data["vertices"] = list(verts)
         if args.census:
             census = branch_census(curve)
             data["census"] = census
             lines.append("census:")
-            for row in census["edges"]:
-                lines.append(
-                    f"  edge {row['i']}: count={row['count']} "
-                    f"predicted={row['predicted']} agree={_yn(row['agree'])} "
-                    f"squarefree={_yn(row['squarefree'])}"
-                )
+            lines += [
+                f"  edge {row['i']}: count={row['count']} predicted={row['predicted']} "
+                f"agree={_yn(row['agree'])} squarefree={_yn(row['squarefree'])}"
+                for row in census["edges"]
+            ]
     elif args.census:
         lines.append("census: skipped (not sufficiently general)")
     return True, lines, data
@@ -193,30 +190,18 @@ def cmd_truncate(args, parser):
         f = parse_polynomial(args.poly, a)
         deg = weighted_degree(f)
         k = d // gcd(deg, d)
-        data["poly_degree"] = deg
-        data["min_power"] = k
-        data["power_degree"] = deg * k
-        data["power_regraded_degree"] = deg * k // d
+        data.update(poly_degree=deg, min_power=k, power_degree=deg * k, power_regraded_degree=deg * k // d)
         if k == 1:
             lines.append(f"poly degree {deg}: in the truncation (regraded degree {deg // d})")
         else:
-            lines.append(
-                f"poly degree {deg}: f^{k} lands in the truncation "
-                f"(degree {deg * k}, regraded {deg * k // d})"
-            )
+            lines.append(f"poly degree {deg}: f^{k} lands in the truncation (degree {deg * k}, regraded {deg * k // d})")
     return True, lines, data
 
 
 def cmd_straighten(args, parser):
     f = parse_polynomial(args.poly, args.weights)
     pres, trace = straighten_chain(f, args.weights, prime_steps=args.prime_steps)
-    lines = []
-    for n, step in enumerate(trace, start=1):
-        spared = "" if step.spared is None else f" spared={step.spared}"
-        lines.append(
-            f"step {n}: case {step.case} d={step.d}{spared} "
-            f"{_fmt_weight(step.before)} -> {_fmt_weight(step.after)} [{step.ideal_note}]"
-        )
+    lines = _step_lines(trace, notes=True)
     new_names = variable_names(len(pres.weight))
     lines.append(f"final weight: {_fmt_weight(pres.weight)}")
     lines.append(
@@ -266,25 +251,13 @@ def cmd_hilbert_numerator(args, parser):
 
 def cmd_hilbert_table(args, parser):
     e = EllSequence(args.genus, args.deg, dict(args.override or []))
-    rows = args.row or _DEFAULT_TABLE_ROWS
-    report = embedding_report(e, rows, max_degree=args.n)
-    lines = []
-    out_rows = []
-    for row in report:
-        degrees = row["relation_degrees"]
-        shown = "-" if degrees is None else ",".join(str(d) for d in degrees)
-        lines.append(
-            f"k={row['k']} weights={_fmt_weight(row['weights'])} "
-            f"numerator={row['numerator'].to_string('t')} relations={shown}"
-        )
-        out_rows.append(
-            {
-                "k": row["k"],
-                "weights": list(row["weights"]),
-                "numerator": row["numerator"].to_string("t"),
-                "relation_degrees": degrees,
-            }
-        )
+    report = embedding_report(e, args.row or _DEFAULT_TABLE_ROWS, max_degree=args.n)
+    out_rows = [dict(row, weights=list(row["weights"]), numerator=row["numerator"].to_string("t")) for row in report]
+    lines = [
+        f"k={row['k']} weights={_fmt_weight(row['weights'])} numerator={row['numerator']} relations="
+        + ("-" if row["relation_degrees"] is None else ",".join(map(str, row["relation_degrees"])))
+        for row in out_rows
+    ]
     data = {"genus": args.genus, "deg": args.deg, "rows": out_rows}
     return True, lines, data
 
@@ -335,94 +308,80 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="structured output")
 
+    def leaf(subs, name: str, func, help: str, command: str | None = None):
+        p = subs.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func, cmdname=command or name)
+        return p
+
     parser = argparse.ArgumentParser(
         prog="wps", description="weighted projective space toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("wellform", parents=[common], help="reduce a weight to well-formed")
+    p = leaf(sub, "wellform", cmd_wellform, "reduce a weight to well-formed")
     p.add_argument("weights", type=_weight_arg)
     p.add_argument("--prime-steps", action="store_true", help="one prime divisor per step")
-    p.set_defaults(func=cmd_wellform, cmdname="wellform")
 
-    p = sub.add_parser("genus", parents=[common], help="degree-genus formula")
+    p = leaf(sub, "genus", cmd_genus, "degree-genus formula")
     p.add_argument("--weights", type=_weight_arg)
     p.add_argument("--degree", type=int)
     p.add_argument("--sweep", action="store_true", help="integrality sweep")
     p.add_argument("--max-entry", type=int, default=9)
     p.add_argument("--max-degree", type=int, default=60)
-    p.set_defaults(func=cmd_genus, cmdname="genus")
 
-    p = sub.add_parser("check", parents=[common], help="curve genericity diagnostics")
+    p = leaf(sub, "check", cmd_check, "curve genericity diagnostics")
     p.add_argument("--weights", type=_weight_arg, required=True)
     p.add_argument("--poly", required=True)
     p.add_argument("--census", action="store_true", help="edge root-count census")
-    p.set_defaults(func=cmd_check, cmdname="check")
 
-    p = sub.add_parser("cover", parents=[common], help="straight cover via x_i -> y_i^{a_i}")
+    p = leaf(sub, "cover", cmd_cover, "straight cover via x_i -> y_i^{a_i}")
     p.add_argument("--weights", type=_weight_arg, required=True)
     p.add_argument("--poly", required=True)
-    p.set_defaults(func=cmd_cover, cmdname="cover")
 
-    p = sub.add_parser("truncate", parents=[common], help="Veronese truncation generators")
+    p = leaf(sub, "truncate", cmd_truncate, "Veronese truncation generators")
     p.add_argument("--weights", type=_weight_arg, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--poly")
-    p.set_defaults(func=cmd_truncate, cmdname="truncate")
 
-    p = sub.add_parser("straighten", parents=[common], help="carry an ideal through well-forming")
+    p = leaf(sub, "straighten", cmd_straighten, "carry an ideal through well-forming")
     p.add_argument("--weights", type=_weight_arg, required=True)
     p.add_argument("--poly", required=True)
     p.add_argument("--prime-steps", action="store_true")
-    p.set_defaults(func=cmd_straighten, cmdname="straighten")
 
     p = sub.add_parser("hilbert", help="Hilbert series tools")
     hsub = p.add_subparsers(dest="hilbert_command", required=True)
 
-    q = hsub.add_parser("expand", parents=[common], help="series coefficients")
+    q = leaf(hsub, "expand", cmd_hilbert_expand, "series coefficients", "hilbert expand")
     q.add_argument("--weights", type=_weight_arg, required=True)
     q.add_argument("--numerator", default="1")
     q.add_argument("-N", dest="n", type=int, required=True, help="last degree")
-    q.set_defaults(func=cmd_hilbert_expand, cmdname="hilbert expand")
 
-    q = hsub.add_parser("numerator", parents=[common], help="recover N(t) from ell values")
+    q = leaf(hsub, "numerator", cmd_hilbert_numerator, "recover N(t) from ell values", "hilbert numerator")
     q.add_argument("--weights", type=_weight_arg, required=True)
     q.add_argument("--genus", type=int, required=True)
     q.add_argument("--deg", type=int, required=True, help="divisor degree")
     q.add_argument("--override", type=_override_arg, action="append", metavar="n=v")
     q.add_argument("-N", dest="n", type=int, help="max numerator degree")
-    q.set_defaults(func=cmd_hilbert_numerator, cmdname="hilbert numerator")
 
-    q = hsub.add_parser("table", parents=[common], help="per-embedding numerators")
+    q = leaf(hsub, "table", cmd_hilbert_table, "per-embedding numerators", "hilbert table")
     q.add_argument("--genus", type=int, default=1)
     q.add_argument("--deg", type=int, default=1)
     q.add_argument("--override", type=_override_arg, action="append", metavar="n=v")
     q.add_argument("--row", type=_row_arg, action="append", metavar="k=weights")
     q.add_argument("-N", dest="n", type=int, help="max numerator degree")
-    q.set_defaults(func=cmd_hilbert_table, cmdname="hilbert table")
 
-    p = sub.add_parser("eq", parents=[common], help="point equality tests")
+    p = leaf(sub, "eq", cmd_eq, "point equality tests")
     p.add_argument("--weights", type=_weight_arg, required=True)
     p.add_argument("--field", required=True, help="q for rationals, or a prime")
     p.add_argument("pt1")
     p.add_argument("pt2")
-    p.set_defaults(func=cmd_eq, cmdname="eq")
 
     p = sub.add_parser("oracle", help="finite-field verification")
     osub = p.add_subparsers(dest="oracle_command", required=True)
-    q = osub.add_parser("run", parents=[common], help="run a manifest of checks")
+    q = leaf(osub, "run", cmd_oracle_run, "run a manifest of checks", "oracle run")
     q.add_argument("--manifest", required=True)
-    q.set_defaults(func=cmd_oracle_run, cmdname="oracle run")
 
     return parser
-
-
-def _emit(json_mode: bool, command: str, ok: bool, lines: list[str], data: dict) -> None:
-    if json_mode:
-        print(json.dumps({"command": command, "ok": ok, "data": data}))
-    else:
-        for line in lines:
-            print(line)
 
 
 def main(argv=None) -> int:
@@ -433,17 +392,18 @@ def main(argv=None) -> int:
     try:
         ok, lines, data = args.func(args, parser)
     except (WPSError, ValueError, OSError) as exc:
-        if isinstance(exc, WPSError):
-            code = exc.code
-        else:
-            code = "E_VALUE" if isinstance(exc, ValueError) else "E_IO"
+        code = exc.code if isinstance(exc, WPSError) else "E_VALUE" if isinstance(exc, ValueError) else "E_IO"
         if json_mode:
             error = {"code": code, "message": str(exc)}
             print(json.dumps({"command": command, "ok": False, "error": error}))
         else:
             print(f"error[{code}]: {exc}", file=sys.stderr)
         return 1
-    _emit(json_mode, command, ok, lines, data)
+    if json_mode:
+        print(json.dumps({"command": command, "ok": ok, "data": data}))
+    else:
+        for line in lines:
+            print(line)
     return 0 if ok else 1
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import gcd, prod
+from math import comb, gcd, prod
 
 from .errors import (
     DegenerateEdge,
@@ -18,6 +18,7 @@ from .errors import (
     NotHomogeneous,
     NotSufficientlyGeneral,
     NotWellFormed,
+    check_work,
 )
 from .exactmath import UPolynomial, distinct_root_count
 from .weights import Weight, check_weight, is_well_formed
@@ -137,7 +138,9 @@ def straight_cover(c: PlaneCurve) -> PlaneCurve:
 
 
 def _edges(c: PlaneCurve) -> list[UPolynomial]:
-    """The three edge restrictions of the straight cover; none may be zero."""
+    """The three edge restrictions of the straight cover; none may be zero.
+    Each has degree <= d, and Euclid on g and g' to count its roots <= d^2 steps."""
+    check_work(3 * c.degree**2, f"root counts on the edges of a degree-{c.degree} cover")
     cover = straight_cover(c).poly
     edges = [restrict_to_edge(cover, i) for i in range(3)]
     for i, g in enumerate(edges):
@@ -304,8 +307,11 @@ def integrality_sweep(max_entry: int = 9, max_degree: int = 60) -> dict:
     """Check over the sweep that `genus` is a non-negative integer and that
     Riemann-Hurwitz 2g' - 2 = deg (2g - 2) + b holds, with (deg, g', b) from
     `normalised_cover`: branch data counted independently of the closed
-    formula.  Collects every failing instance.
+    formula.  Collects every failing instance.  Steps: the C(E+2, 3) sorted
+    triples of entries <= E times the degrees 2..D.
     """
+    steps = comb(max(max_entry, 0) + 2, 3) * max(max_degree - 1, 1)
+    check_work(steps, f"sweep to entry {max_entry} and degree {max_degree}")
     checked = 0
     failures = []
     for d, a in sweep_instances(max_entry, max_degree):

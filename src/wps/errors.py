@@ -77,8 +77,8 @@ class TooLarge(WPSError):
     code = "E_TOO_LARGE"
 
 
-# Requests at the limit take about a second on a 2-core VM (Python 3.11):
-# (x+y)^499 parses in 1.2 s and `hilbert numerator -N 250000` in 1.2 s.
+# The one size limit; each entry point counts its own inner loop's steps, and
+# at the limit takes a second at most on a 2-core VM, Python 3.11 (see README).
 WORK_LIMIT = 250_000
 
 

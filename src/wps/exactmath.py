@@ -46,19 +46,45 @@ def is_prime(n: int) -> bool:
             return True
 
 
+def height(q) -> int:
+    """Bit length of the larger of |numerator| and denominator of a rational."""
+    return max(abs(q.numerator), q.denominator).bit_length()
+
+
+def _rho(n: int) -> int:
+    """A proper factor of an odd composite n (Pollard's rho, Floyd's cycle search)."""
+    for c in range(1, n):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x, y = (x * x + c) % n, (pow(y * y + c, 2, n) + c) % n
+            d = gcd(x - y, n)
+        if d != n:
+            return d
+
+
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 2, ascending."""
-    out = []
-    q = 2
-    while q * q <= n:
+    """Distinct prime factors of n >= 2, ascending.
+
+    Trial division by q < 1000 first; a part m > 1 of the cofactor is then
+    prime when q^2 > m or `is_prime` accepts it, else Pollard's rho splits it.
+    """
+    out, q = set(), 2
+    while q * q <= n and q < 1000:
         if n % q == 0:
-            out.append(q)
+            out.add(q)
             while n % q == 0:
                 n //= q
         q += 1
-    if n > 1:
-        out.append(n)
-    return out
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if q * q > m or is_prime(m):
+            out.add(m)
+        else:
+            d = _rho(m)
+            parts += [d, m // d]
+    return sorted(out)
 
 
 def _sylow(l: int, p: int) -> tuple[int, int, int]:

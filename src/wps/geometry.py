@@ -6,12 +6,11 @@ cover.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
-from .errors import FieldMismatch, Mismatch, NotAConePoint, NotOnPatch, PrimeUnsuitable, Unsupported
-from .exactmath import QQ, FpElem, PrimeField, fp_roots
+from .errors import FieldMismatch, Mismatch, NotAConePoint, NotOnPatch, PrimeUnsuitable, Unsupported, check_work
+from .exactmath import QQ, FpElem, PrimeField, fp_roots, height
 from .weights import Weight, check_weight
 
 
@@ -52,7 +51,6 @@ class WPoint:
         return "|" + ":".join(str(c) for c in self.coords) + "|"
 
 
-@lru_cache(maxsize=64)  # bounded; one weight vector has at most 2^n - 1 supports
 def _fold_chain(a: Weight, support: tuple[int, ...]):
     """(gcd of the support weights, first support index i0, steps): each later
     index i gives (i, a_i/g, G/g, u, v), G the gcd so far, g = gcd(G, a_i) = u*G + v*a_i."""
@@ -79,6 +77,12 @@ def _fold(a: Weight, values, support: tuple[int, ...], m: int | None):
     m) works on int residues mod m over F_p and on Fractions (m None) over Q.
     """
     G, i, steps = _fold_chain(a, support)
+    if m is None:  # one step per bit of each power of a Fraction taken below
+        size, work = height(values[i]), 0
+        for k, ag, Gg, u, v in steps:
+            work += ag * size + Gg * height(values[k])
+            size = u * size + abs(v) * height(values[k]) if v else size
+        check_work(work + size, f"scaling test over Q for weights {a}")
     R, relations = values[i], []
     for i, ag, Gg, u, v in steps:
         r = values[i]
@@ -121,6 +125,8 @@ def _scaling_root(p: WPoint, q: WPoint):
 def _int_root(n: int, k: int) -> int | None:
     """The integer k-th root of n >= 1 if n is a k-th power, else None
     (integer Newton steps)."""
+    if k >= n.bit_length():  # 2^k > n, so only 1 is a k-th power
+        return 1 if n == 1 else None
     x = 1 << -(-n.bit_length() // k)
     while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
         x = y
@@ -209,48 +215,48 @@ def roots_of_unity(p: int, n: int) -> list[FpElem]:
     return [field.coerce(x) for x in fp_roots(1, n, p)]
 
 
-@lru_cache(maxsize=16)  # bounded; one group per (weights, prime)
-def _group_elements(a: Weight, p: int) -> tuple[tuple[int, ...], ...]:
+def _group_elements(a: Weight, p: int) -> list[tuple[int, ...]]:
     """The elements of mu^{a_0} x ... x mu^{a_n} inside (F_p^*)^{n+1}, as residues."""
     for ai in a:
         if (p - 1) % ai != 0:
             raise PrimeUnsuitable(f"p = {p} is not 1 mod {ai}; mu^{ai} not inside F_p*")
-    return tuple(product(*(fp_roots(1, ai, p) for ai in a)))
+    return list(product(*(fp_roots(1, ai, p) for ai in a)))
 
 
-def _orbit_stabilizer(a: Weight, x: tuple[int, ...], p: int) -> tuple[set[tuple[int, ...]], int]:
-    """The G-orbit of the straight point x (residues mod p), each member scaled
-    to first nonzero coordinate 1, and the order of the stabilizer of x: the
-    g that are constant on the support of x."""
+def _orbit_stabilizer(group, x: tuple[int, ...], p: int) -> tuple[set[tuple[int, ...]], int]:
+    """The orbit of the straight point x (residues mod p) under the elements
+    of `_group_elements`, each member scaled to first nonzero coordinate 1,
+    and the order of the stabilizer of x: the g constant on the support of x."""
     support = [i for i, v in enumerate(x) if v]
     i0 = support[0]
     seen, stab = set(), 0
-    for g in _group_elements(a, p):
+    for g in group:
         inv = pow(g[i0] * x[i0], -1, p)
         seen.add(tuple(s * v * inv % p for s, v in zip(g, x)))
         stab += all(g[i] == g[i0] for i in support)
     return seen, stab
 
 
-def _check_straight(y: WPoint, a: Weight, p: int) -> None:
+def _straight_orbit(y: WPoint, a: Weight, p: int) -> tuple[set[tuple[int, ...]], int]:
+    """`_orbit_stabilizer` of y under G = prod mu^{a_i}, n coordinates moved
+    by each of the prod(a) group elements."""
+    a = check_weight(a)
     if y.weight != (1,) * len(a):
         raise Mismatch(f"the group acts on straight points, got weight {y.weight}")
     if y.field != PrimeField(p):
         raise FieldMismatch(f"the group over F_{p} acting on a point over {y.field}")
+    check_work(len(a) * prod(a), f"{prod(a)} group elements")
+    return _orbit_stabilizer(_group_elements(a, p), y.values, p)
 
 
 def stabilizer_order(y: WPoint, a: Weight, p: int) -> int:
     """Order of the subgroup of G = prod mu^{a_i} fixing y in straight P^n."""
-    a = check_weight(a)
-    _check_straight(y, a, p)
-    return _orbit_stabilizer(a, y.values, p)[1]
+    return _straight_orbit(y, a, p)[1]
 
 
 def orbit(y: WPoint, a: Weight, p: int) -> list[WPoint]:
     """Distinct straight-projective points in the G-orbit of y, sorted."""
-    a = check_weight(a)
-    _check_straight(y, a, p)
-    return [WPoint(y.weight, cs, y.field) for cs in sorted(_orbit_stabilizer(a, y.values, p)[0])]
+    return [WPoint(y.weight, cs, y.field) for cs in sorted(_straight_orbit(y, a, p)[0])]
 
 
 def patch_representative(x: WPoint, i: int) -> list:

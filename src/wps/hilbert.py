@@ -35,7 +35,7 @@ class HilbertSeries:
     def __init__(self, numerator: UPolynomial, denominator_weights):
         self.numerator = numerator
         self.denominator_weights = _check_weights(denominator_weights)
-        _int_coeffs(numerator)  # invariant: integer coefficients
+        self.int_coeffs = _int_coeffs(numerator)  # invariant: integer coefficients
 
     def expand(self, n: int) -> list[int]:
         return expand(self, n)
@@ -68,7 +68,7 @@ def expand(s: HilbertSeries, n: int) -> list[int]:
     if n < 0:
         raise ValueError("expansion length must be non-negative")
     check_work(n, f"series expansion to degree {n}")
-    num = _int_coeffs(s.numerator)
+    num = s.int_coeffs
     c = num[: n + 1] + [0] * max(0, n + 1 - len(num))
     for a in s.denominator_weights:
         for k in range(a, n + 1):
@@ -92,16 +92,16 @@ class EllSequence:
         self.genus = genus
         self.divisor_degree = divisor_degree
         self.low_overrides = dict(low_overrides or {})
-        allowed = set(self.ambiguous_range())
-        bad = sorted(set(self.low_overrides) - allowed)
+        self.ambiguous_count = max(0, (2 * genus - 2) // divisor_degree)
+        bad = sorted(n for n in self.low_overrides if not 1 <= n <= self.ambiguous_count)
         if bad:
-            raise ValueError(f"overrides {bad} fall outside the ambiguous range {sorted(allowed)}")
+            raise ValueError(f"overrides {bad} fall outside the ambiguous range n = 1..{self.ambiguous_count}")
         if any(v < 1 for v in self.low_overrides.values()):
             raise ValueError("ell values are positive")
 
     def ambiguous_range(self) -> list[int]:
         """The n with 0 < n*deg <= 2g-2."""
-        return list(range(1, (2 * self.genus - 2) // self.divisor_degree + 1))
+        return list(range(1, self.ambiguous_count + 1))
 
     def value(self, n: int) -> int:
         if n < 0:
@@ -130,13 +130,13 @@ def _provider(coeffs):
 def numerator_from_sequence(coeffs, a, max_degree: int) -> UPolynomial:
     """Recover N(t) = (sum c_n t^n) * prod(1 - t^{a_i}) as a polynomial.
 
-    The product is probed up to max_degree + sum(a); any nonzero
-    coefficient beyond max_degree raises NumeratorNotPolynomial.
+    The product is probed up to max_degree + sum(a), one step per degree;
+    any nonzero coefficient beyond max_degree raises NumeratorNotPolynomial.
     """
     a = _check_weights(a)
-    check_work(max_degree, f"numerator to degree {max_degree}")
-    get = _provider(coeffs)
     horizon = max_degree + sum(a)
+    check_work(horizon, f"numerator to degree {max_degree}")
+    get = _provider(coeffs)
     c = [int(get(n)) for n in range(horizon + 1)]
     for ai in a:
         c = [c[k] - (c[k - ai] if k >= ai else 0) for k in range(horizon + 1)]
@@ -188,28 +188,27 @@ def numerator_degree_bound(e: EllSequence, weights, k: int = 1) -> int:
     (1-t)^2 sum ell(kn) t^n has degree <= n0//k + 2, and N(t) is that times
     prod(1 - t^{a_i}) / (1-t)^2, of degree sum(a) - 2.
     """
-    return len(e.ambiguous_range()) // k + sum(weights)
+    return e.ambiguous_count // k + sum(weights)
 
 
 def embedding_report(e: EllSequence, rows, max_degree: int | None = None) -> list[dict]:
     """For each (k, weights) row: feed ell(kn) to numerator recovery.
 
     Reproduces the elliptic truncation table when e is the (g=1, deg=1)
-    sequence and rows carry the matching ambient weights.
+    sequence and rows carry the matching ambient weights.  The rows take
+    the steps of their `numerator_from_sequence` calls together.
     """
-    report = []
+    jobs = []
     for k, weights in rows:
+        if k < 1:
+            raise ValueError(f"row k must be positive, got {k}")
         weights = _check_weights(weights)
-        bound = max_degree if max_degree is not None else numerator_degree_bound(e, weights, k)
+        jobs.append((k, weights, numerator_degree_bound(e, weights, k) if max_degree is None else max_degree))
+    check_work(sum(bound + sum(weights) for _, weights, bound in jobs), f"numerators for {len(jobs)} rows")
+    report = []
+    for k, weights, bound in jobs:
         num = numerator_from_sequence(lambda n, k=k: e(k * n), weights, bound)
-        report.append(
-            {
-                "k": k,
-                "weights": weights,
-                "numerator": num,
-                "relation_degrees": ci_relation_degrees(num),
-            }
-        )
+        report.append({"k": k, "weights": weights, "numerator": num, "relation_degrees": ci_relation_degrees(num)})
     return report
 
 

@@ -14,9 +14,10 @@ from itertools import islice, product
 from math import gcd, lcm, prod
 
 from .curves import PlaneCurve
-from .errors import TooLarge
-from .exactmath import PrimeField
-from .geometry import WPoint, _geometric_key, _orbit_stabilizer, fp_orbit_min
+from .errors import check_work
+from .exactmath import QQ, PrimeField, UPolynomial
+from .geometry import WPoint, _geometric_key, _group_elements, _orbit_stabilizer, fp_orbit_min
+from .hilbert import HilbertSeries, expand
 from .parser import parse_polynomial
 from .truncation import (
     default_degree_bound,
@@ -27,27 +28,14 @@ from .truncation import (
 from .weights import Weight, check_weight, parse_weight
 from .wpoly import monomial_string, partial, reduce_mod, variable_names
 
-_MAX_VECTORS = 10**6
-
-
-def _check_scan(n: int, p: int) -> None:
-    if p**n - 1 > _MAX_VECTORS:
-        raise TooLarge(f"{p}^{n} - 1 vectors exceed the scan limit")
-
-
 def _all_vectors(a: Weight, p: int):
-    """Nonzero coordinate vectors of F_p^n, lexicographic.
-
-    The scan limit is checked on the call, before any vector is produced.
-    """
-    _check_scan(len(a), p)
+    """Nonzero coordinate vectors of F_p^n, lexicographic."""
     return (vec for vec in product(range(p), repeat=len(a)) if any(vec))
 
 
 def _straight_points(n: int, p: int) -> list[tuple[int, ...]]:
     """The points of P^{n-1}(F_p), first nonzero coordinate 1, sorted: the
     orbit minima of the straight weights in closed form."""
-    _check_scan(n, p)
     return [(0,) * k + (1,) + rest for k in range(n - 1, -1, -1) for rest in product(range(p), repeat=n - 1 - k)]
 
 
@@ -56,8 +44,10 @@ def enumerate_wps_points(a: Weight, p: int) -> list[WPoint]:
 
     A vector is kept iff it is the minimum of its orbit (the `normalize`
     representative); the scan is lexicographic, so the output is sorted.
+    `fp_orbit_min` tries up to p - 1 scalings per vector.
     """
     a = check_weight(a)
+    check_work((p ** len(a) - 1) * (p - 1), f"{p}^{len(a)} - 1 vectors times {p - 1} scalings")
     field = PrimeField(p)
     return [WPoint(a, vec, field) for vec in _all_vectors(a, p) if fp_orbit_min(a, vec, p) == vec]
 
@@ -130,8 +120,11 @@ def verify_point_equality(a: Weight, p: int, max_recorded: int = 20) -> dict:
     c(c+1)/2 over a grouping the count is pair(geometric) + pair(closure) -
     2 pair(both), O(N) for N vectors.  The recorded rows are the first
     mismatching pairs in order; both vectors of one lie in classes that differ.
+    Each vector takes a closure-key step and a fold step per coordinate.
     """
     a = check_weight(a)
+    n = len(a)
+    check_work((n + 1) * (p**n - 1), f"{n + 1} steps for each of {p}^{n} - 1 vectors")
     vectors = list(_all_vectors(a, p))
     oracle = ClosureEquality(a, p)
     geo = [_geometric_key(a, vec, p) for vec in vectors]
@@ -144,28 +137,28 @@ def verify_point_equality(a: Weight, p: int, max_recorded: int = 20) -> dict:
         dict(x=list(vectors[i]), y=list(vectors[j]), geometric=geo[i] == geo[j], closure=clo[i] == clo[j])
         for i, j in islice(rows, max_recorded)
     ]
-    n = len(vectors)
     return {
         "weights": list(a),
         "p": p,
-        "pairs": n * (n + 1) // 2,
+        "pairs": len(vectors) * (len(vectors) + 1) // 2,
         "mismatch_count": mismatch_count,
         "mismatches": mismatches,
     }
 
 
 def verify_orbit_stabilizer(a: Weight, p: int) -> dict:
-    """|orbit| * |stabilizer| = a_0...a_n for every straight projective point."""
+    """|orbit| * |stabilizer| = a_0...a_n for every straight projective point;
+    each point is built and moved by every group element, n coordinates each."""
     a = check_weight(a)
     PrimeField(p)  # a modulus that is not prime raises before any work
-    group_order = prod(a)
-    count = sum(p**k for k in range(len(a)))  # |P^{n-1}(F_p)| = (p^n - 1)/(p - 1)
-    if group_order * count > _MAX_VECTORS:
-        raise TooLarge(f"{group_order} group elements times {count} points exceed the scan limit")
+    n, group_order = len(a), prod(a)
+    count = sum(p**k for k in range(n))  # |P^{n-1}(F_p)| = (p^n - 1)/(p - 1)
+    check_work(n * (group_order + 1) * count, f"{group_order} group elements times {count} points")
+    group = _group_elements(a, p)
     failures = []
-    points = _straight_points(len(a), p)
+    points = _straight_points(n, p)
     for x in points:
-        seen, stab = _orbit_stabilizer(a, x, p)
+        seen, stab = _orbit_stabilizer(group, x, p)
         if len(seen) * stab != group_order:
             failures.append({"point": list(x), "orbit": len(seen), "stabilizer": stab})
     return {
@@ -199,12 +192,16 @@ def verify_veronese(a: Weight, d: int, p: int | None = None, cap: int | None = N
     The check is purely combinatorial; p is accepted only so manifest lines
     share one shape.  The cap (default `default_degree_bound`) bounds the
     degrees scanned here; the generators themselves come from the finite
-    box of `veronese_generators` and need no bound.
+    box of `veronese_generators` and need no bound.  Degree k*d takes one
+    step per monomial (the t^(k*d) coefficient of 1/prod(1 - t^{a_i})) and one
+    per prefix x_0..x_{n-2} its scan visits (the same with a_{n-1} = 1).
     """
     a = check_weight(a)
     gens = veronese_generators(a, d)
     if cap is None:
         cap = default_degree_bound(a, d)
+    monomials, prefixes = (sum(expand(HilbertSeries(UPolynomial(QQ, [1]), w), max(cap, 0))[d::d]) for w in (a, (*a[:-1], 1)))
+    check_work(monomials + prefixes, f"{monomials} monomials of degree divisible by {d} up to {cap}")
     memo: dict[tuple[int, ...], bool] = {}
     names = variable_names(len(a))
     checked = 0
@@ -252,8 +249,9 @@ def scan_curve_points(c: PlaneCurve, p: int) -> dict:
     so each vector on the curve also adds 1 to p-1 times the point count.
     f and its partials are evaluated by table lookups on int residues.
     """
-    f = reduce_mod(c.poly, p)
     a = c.weight
+    check_work(p ** len(a) - 1, f"{p}^{len(a)} - 1 vectors")
+    f = reduce_mod(c.poly, p)
     rows, *parts = _power_rows([f] + [partial(f, i) for i in range(3)], p)
     total = on_curve = rational = singular = 0
     for x in _all_vectors(a, p):
@@ -277,18 +275,13 @@ def scan_curve_points(c: PlaneCurve, p: int) -> dict:
 # === manifest driver ===
 
 _INT_KEYS = {"p", "d", "cap", "expect_points", "expect_rational_points", "expect_singular"}
-_KNOWN = {
-    "point_equality": {"weights", "p"},
-    "orbit_stabilizer": {"weights", "p"},
-    "veronese": {"weights", "p", "d", "cap"},
-    "curve_scan": {"weights", "p", "poly", "expect_points", "expect_rational_points", "expect_singular"},
-}
 _REQUIRED = {
     "point_equality": {"weights", "p"},
     "orbit_stabilizer": {"weights", "p"},
     "veronese": {"weights", "p", "d"},
     "curve_scan": {"weights", "p", "poly"},
 }
+_OPTIONAL = {"veronese": {"cap"}, "curve_scan": {"expect_points", "expect_rational_points", "expect_singular"}}
 
 
 def parse_manifest(text: str) -> list[dict]:
@@ -312,9 +305,9 @@ def parse_manifest(text: str) -> list[dict]:
             else:
                 job[key] = value
         name = job.pop("verify", None)
-        if name not in _KNOWN:
+        if name not in _REQUIRED:
             raise ValueError(f"line {lineno}: unknown check {name!r}")
-        extra = set(job) - _KNOWN[name]
+        extra = set(job) - _REQUIRED[name] - _OPTIONAL.get(name, set())
         missing = _REQUIRED[name] - set(job)
         if extra:
             raise ValueError(f"line {lineno}: unexpected keys {sorted(extra)}")
@@ -349,18 +342,8 @@ def run_job(job: dict) -> dict:
             "singular_points": "expect_singular",
         }
         ok = all(report[k] == job[e] for k, e in expected.items() if e in job)
-        summary = (
-            f"{report['points_on_curve']} on curve, "
-            f"{report['singular_points']} singular"
-        )
-    return {
-        "verify": name,
-        "weights": list(a),
-        "p": p,
-        "ok": ok,
-        "summary": summary,
-        "report": report,
-    }
+        summary = f"{report['points_on_curve']} on curve, {report['singular_points']} singular"
+    return {"verify": name, "weights": list(a), "p": p, "ok": ok, "summary": summary, "report": report}
 
 
 def run_manifest(text: str) -> dict:

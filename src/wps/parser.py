@@ -9,12 +9,11 @@ is rejected ('2x' must be '2*x').
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .errors import ParseError, TooLarge, UnknownVariable, check_work
 from .exactmath import QQ
 from .weights import Weight
-from .wpoly import WPolynomial, variable_names
+from .wpoly import WPolynomial, power_steps, variable_names
 
 _OPS = set("+-*^()/")
 # four parser frames per level: well below Python's default recursion limit of 1000
@@ -68,6 +67,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.k = 0
         self.depth = 0
+        self.work = 0  # steps spent on products and powers so far
         self.weight = tuple(weight)
         self.field = field
         self.names = variable_names(len(self.weight))
@@ -83,6 +83,11 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
         self.k += 1
         return tok
+
+    def spend(self, steps: int, what: str) -> None:
+        """Add steps to the running total and check the total before the step."""
+        self.work += steps
+        check_work(self.work, what)
 
     def parse(self) -> WPolynomial:
         poly = self.expr()
@@ -120,7 +125,10 @@ class _Parser:
                     tok.pos,
                 )
             self.take()
-            acc = acc * self.power()
+            rhs = self.power()
+            t, u = len(acc.terms), len(rhs.terms)
+            self.spend(t * u, f"{t}-by-{u}-term product at position {tok.pos}")
+            acc = acc * rhs
 
     def power(self) -> WPolynomial:
         base = self.primary()
@@ -128,11 +136,8 @@ class _Parser:
         if tok is not None and tok.kind == "^":
             self.take()
             exp = self.take("num")
-            m, t = int(exp.text), len(base.terms)
-            if t:
-                # base^m has at most B = C(m+t-1, t-1) terms, and one product of
-                # the squaring chain multiplies at most B by B terms
-                check_work(comb(m + t - 1, t - 1) ** 2, f"{t}-term base raised to {m} at position {tok.pos}")
+            m = int(exp.text)
+            self.spend(power_steps(base, m), f"{len(base.terms)}-term base raised to {m} at position {tok.pos}")
             base = base**m
         return base
 
@@ -207,6 +212,7 @@ def parse_upolynomial(text: str, field=QQ):
     if poly.is_zero():
         return UPolynomial.zero(field)
     top = max(e[0] for e in poly.terms)
+    check_work(top + 1, f"dense polynomial of degree {top}")
     coeffs = [field.zero] * (top + 1)
     for e, c in poly.terms.items():
         coeffs[e[0]] = c

@@ -9,7 +9,7 @@ from __future__ import annotations
 from itertools import product
 from math import gcd, lcm, prod
 
-from .errors import BadCase, Mismatch, NotHomogeneous, TooLarge
+from .errors import BadCase, Mismatch, NotHomogeneous, check_work
 from .weights import Weight, WellFormStep, WellFormTrace, check_weight, well_form
 from .wpoly import (
     Monomial,
@@ -18,6 +18,7 @@ from .wpoly import (
     monomial_degree,
     monomial_key,
     monomial_string,
+    power_steps,
     variable_names,
 )
 
@@ -25,15 +26,14 @@ TAG_UNCHANGED = "unchanged-regraded"
 TAG_REEXPRESSED = "re-expressed"
 TAG_POWER_RAISED = "power-raised"
 
-_MAX_BOX = 10**6
-
 
 def _fill_piece(a: Weight, i: int, remaining: int, prefix: list[int], out: list[Monomial]) -> None:
     """Append to out each extension of prefix (the exponents of x_0..x_{i-1})
-    by exponents of x_i, x_{i+1}, ... of weighted degree exactly `remaining`."""
-    if i == len(a):
-        if remaining == 0:
-            out.append(tuple(prefix))
+    by exponents of x_i, x_{i+1}, ... of weighted degree exactly `remaining`.
+    The last exponent is solved for, not scanned."""
+    if i == len(a) - 1:
+        if remaining % a[i] == 0:
+            out.append((*prefix, remaining // a[i]))
         return
     for e in range(remaining // a[i] + 1):
         prefix.append(e)
@@ -46,6 +46,8 @@ def graded_piece_basis(a, d: int) -> list[Monomial]:
     a = tuple(int(x) for x in a)
     if d < 0:
         raise ValueError("degree must be non-negative")
+    if not a:
+        return [()] if d == 0 else []
     out: list[Monomial] = []
     _fill_piece(a, 0, d, [], out)
     return sorted(out, key=monomial_key)
@@ -69,16 +71,15 @@ def veronese_generators(a: Weight, d: int) -> list[Monomial]:
     candidates are therefore the n pure powers and the nonzero box vectors
     of degree divisible by d.  Taken in (degree, colex) order, a candidate
     is a generator iff no earlier generator divides it, so the list is
-    complete and ordered by degree, then colex.  Raises TooLarge when the
-    box holds more than _MAX_BOX vectors.
+    complete and ordered by degree, then colex.  The box costs n steps per
+    vector.
     """
     a = check_weight(a)
     if d < 1:
         raise ValueError("truncation step must be >= 1")
     di = [d // gcd(x, d) for x in a]
-    if prod(di) > _MAX_BOX:
-        raise TooLarge(f"Veronese box of {prod(di)} vectors exceeds the scan limit")
     n = len(a)
+    check_work(n * prod(di), f"Veronese box of {prod(di)} vectors in {n} coordinates")
     candidates = [tuple(di[i] if k == i else 0 for k in range(n)) for i in range(n)]
     candidates += [
         e
@@ -140,6 +141,7 @@ def transform_principal_ideal(
     if all(e[j] % d == 0 for e in f.terms):
         g, tag = f, TAG_REEXPRESSED
     else:
+        check_work(power_steps(f, d), f"{len(f.terms)}-term ideal generator raised to {d}")
         g, tag = f**d, TAG_POWER_RAISED
     terms = {
         tuple(x // d if i == j else x for i, x in enumerate(e)): c

@@ -9,9 +9,10 @@ usual display order of graded monomial bases.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .errors import FieldMismatch, NotHomogeneous, ZeroPolynomial
-from .exactmath import QQ, PrimeField, UPolynomial
+from .exactmath import QQ, PrimeField, UPolynomial, height
 from .weights import Weight
 
 Monomial = tuple[int, ...]
@@ -45,6 +46,15 @@ def monomial_string(e: Monomial, names: list[str]) -> str:
             continue
         parts.append(name if exp == 1 else f"{name}^{exp}")
     return "*".join(parts) if parts else "1"
+
+
+def power_steps(f: "WPolynomial", m: int) -> int:
+    """Work of f**m, t terms of up to h bits (h = 1 over F_p): B^2 term pairs in a product of
+    the squaring chain plus the m*h bits of each of the B = C(m+t-1, t-1) terms of the power."""
+    t = len(f.terms)
+    h = 1 if isinstance(f.field, PrimeField) else max(map(height, f.terms.values()), default=0)
+    b = comb(m + t - 1, t - 1) if t else 0
+    return b * (b + m * h)
 
 
 class WPolynomial:
@@ -142,8 +152,9 @@ class WPolynomial:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:

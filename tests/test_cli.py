@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import signal
 import time
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wps.cli import main
 
@@ -400,6 +405,67 @@ def test_work_limit_refuses_before_the_work(capsys, argv):
     assert "exceeds the work limit of 250000 steps" in payload["error"]["message"]
 
 
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (None, "verify=point_equality weights=1,1 p=499"),
+        (None, "verify=point_equality weights=1,2,3 p=61"),
+        (None, "verify=point_equality weights=1,1 p=997"),
+        (None, "verify=curve_scan weights=1,1,1 p=97 poly=x^3+y^3+z^3"),
+        (None, "verify=orbit_stabilizer weights=6,6,6 p=67"),
+        (None, "verify=veronese weights=7,11,13 p=5 d=17"),
+        (None, "verify=veronese weights=1,1,1 p=5 d=2 cap=400"),
+        (["truncate", "--weights", "1,1,1", "--d", "63"], None),
+        (["truncate", "--weights", "1,1,1", "--d", "100"], None),
+        (["check", "--weights", "1,1,1", "--poly", "(x+y+z)^20*(x+y+z)^20*(x+y+z)^20"], None),
+        (["straighten", "--weights", "1,97,97", "--poly", "x*y+x*z+x^98"], None),
+        (["genus", "--sweep", "--max-entry", "60", "--max-degree", "400"], None),
+        (["cover", "--weights", "1,1,1", "--poly", "(663/13)^64909178"], None),
+        (["eq", "--weights", "32244,40,232729", "--field", "q", "32244:40:32244", "32244:32244:232729"], None),
+        (["hilbert", "table", "--genus", "0", "--deg", "33", "-N", "141414"], None),
+        (["check", "--census", "--weights", "500000,500001,1000001", "--poly", "z+x*y"], None),
+    ],
+)
+def test_every_entry_point_refuses_past_the_budget_at_once(capsys, tmp_path, argv, line):
+    if line is not None:
+        manifest = tmp_path / "one.manifest"
+        manifest.write_text(line + "\n")
+        argv = ["oracle", "run", "--manifest", str(manifest)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == [] and err[0].startswith("error[E_TOO_LARGE]") and "exceeds the work limit" in err[0]
+
+
+def test_requests_under_the_budget_still_answer(capsys, tmp_path):
+    # 169,323 parser steps; p^3 - 1 = 226,980 curve vectors; the default
+    # sweep is 165 triples times 59 degrees
+    code, out, _ = run(capsys, "check", "--weights", "1,1,1", "--poly", "(x+y+z)^20*(x+y+z)^20")
+    assert code == 0 and out[0] == "degree: 40"
+    manifest = tmp_path / "one.manifest"
+    manifest.write_text("verify=curve_scan weights=1,1,1 p=61 poly=x^3+y^3+z^3\n")
+    code, out, _ = run(capsys, "oracle", "run", "--manifest", str(manifest))
+    assert code == 0 and out[-1] == "1/1 checks passed"
+    code, out, _ = run(capsys, "genus", "--sweep")
+    assert code == 0 and out == ["checked=777 failures=0"]
+
+
+def test_prime_steps_split_a_gcd_of_two_large_primes(capsys):
+    # gcd 1000000007 * 998244353: trial division alone would run to 10^9
+    weights = "1996488719975420942,2994733079963131413"
+    start = time.perf_counter()
+    code, split, _ = run(capsys, "wellform", weights, "--prime-steps")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert split[1] == "step 1: case I d=998244353 (1996488719975420942,2994733079963131413) -> (2000000014,3000000021)"
+    assert split[2] == "step 2: case I d=1000000007 (2000000014,3000000021) -> (2,3)"
+    code, whole, _ = run(capsys, "wellform", weights)
+    assert code == 0 and whole[0] == split[0] == "(1,1)"
+    assert whole[1] == "step 1: case I d=998244359987710471 (1996488719975420942,2994733079963131413) -> (2,3)"
+    assert [row.split(": ")[1] for row in whole[2:]] == [row.split(": ")[1] for row in split[3:]]
+
 def test_json_env_var(capsys, monkeypatch):
     monkeypatch.setenv("WPS_JSON", "1")
     code = main(["genus", "--weights", "1,2,3", "--degree", "6"])
@@ -407,3 +473,116 @@ def test_json_env_var(capsys, monkeypatch):
     jsonschema.validate(payload, SCHEMA)
     assert code == 0
     assert payload["command"] == "genus"
+
+
+# === argv fuzzing ===
+
+INTS = st.one_of(st.integers(-3, 40), st.integers(0, 10**12))
+WEIGHTS = st.lists(INTS, min_size=1, max_size=5).map(lambda a: ",".join(map(str, a)))
+POINTS = st.lists(INTS, min_size=1, max_size=5).map(lambda a: ":".join(map(str, a)))
+LEAVES = st.one_of(
+    st.sampled_from(["x", "y", "z", "w", "t", "x0", "x2", "x4"]),
+    INTS.map(str),
+    st.tuples(INTS, INTS).map("{0[0]}/{0[1]}".format),
+)
+POLYS = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map("".join),
+        st.tuples(inner, INTS).map("({0[0]})^{0[1]}".format),
+        inner.map("({})".format),
+    ),
+    max_leaves=8,
+)
+NUMBERS = INTS.map(str)
+
+
+def _manifest_line(kind, weights, p, d, cap, poly):
+    keys = {"weights": weights, "p": p, "d": d, "cap": cap, "poly": poly}
+    return f"verify={kind} " + " ".join(f"{k}={v}" for k, v in keys.items() if v is not None)
+
+
+def _optional(strategy):
+    return st.none() | strategy
+
+
+ARGVS = st.one_of(
+    st.tuples(st.just(["wellform"]), WEIGHTS, st.sampled_from([[], ["--prime-steps"]])).map(
+        lambda t: [*t[0], t[1], *t[2]]
+    ),
+    st.tuples(WEIGHTS, NUMBERS).map(lambda t: ["genus", "--weights", t[0], "--degree", t[1]]),
+    st.tuples(NUMBERS, NUMBERS).map(lambda t: ["genus", "--sweep", "--max-entry", t[0], "--max-degree", t[1]]),
+    st.tuples(WEIGHTS, POLYS, st.sampled_from([[], ["--census"]])).map(
+        lambda t: ["check", "--weights", t[0], "--poly", t[1], *t[2]]
+    ),
+    st.tuples(WEIGHTS, POLYS).map(lambda t: ["cover", "--weights", t[0], "--poly", t[1]]),
+    st.tuples(WEIGHTS, NUMBERS, _optional(POLYS)).map(
+        lambda t: ["truncate", "--weights", t[0], "--d", t[1], *([] if t[2] is None else ["--poly", t[2]])]
+    ),
+    st.tuples(WEIGHTS, POLYS, st.sampled_from([[], ["--prime-steps"]])).map(
+        lambda t: ["straighten", "--weights", t[0], "--poly", t[1], *t[2]]
+    ),
+    st.tuples(WEIGHTS, POLYS, NUMBERS).map(
+        lambda t: ["hilbert", "expand", "--weights", t[0], "--numerator", t[1], "-N", t[2]]
+    ),
+    st.tuples(WEIGHTS, NUMBERS, NUMBERS, st.lists(st.tuples(INTS, INTS), max_size=2), _optional(NUMBERS)).map(
+        lambda t: ["hilbert", "numerator", "--weights", t[0], "--genus", t[1], "--deg", t[2]]
+        + [arg for n, v in t[3] for arg in ("--override", f"{n}={v}")]
+        + ([] if t[4] is None else ["-N", t[4]])
+    ),
+    st.tuples(NUMBERS, NUMBERS, st.lists(st.tuples(INTS, WEIGHTS), max_size=3), _optional(NUMBERS)).map(
+        lambda t: ["hilbert", "table", "--genus", t[0], "--deg", t[1]]
+        + [arg for k, w in t[2] for arg in ("--row", f"{k}={w}")]
+        + ([] if t[3] is None else ["-N", t[3]])
+    ),
+    st.tuples(WEIGHTS, st.just("q") | NUMBERS, POINTS, POINTS).map(
+        lambda t: ["eq", "--weights", t[0], "--field", t[1], "--", t[2], t[3]]
+    ),
+    st.builds(
+        _manifest_line,
+        st.sampled_from(["point_equality", "orbit_stabilizer", "veronese", "curve_scan"]),
+        _optional(WEIGHTS),
+        _optional(NUMBERS),
+        _optional(NUMBERS),
+        _optional(NUMBERS),
+        _optional(POLYS),
+    ).map(lambda line: ["oracle", "run", "--manifest", line]),
+)
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _Timeout("request ran past 5 s")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=ARGVS, json_mode=st.booleans())
+def test_fuzzed_argv_answers_or_fails_cleanly(tmp_path, argv, json_mode):
+    """Every request exits 0, 1 or 2 within 5 s, without a traceback; a
+    --json answer (exit 0 or 1) is one envelope that validates."""
+    if argv[0] == "oracle":
+        manifest = tmp_path / "one.manifest"
+        manifest.write_text(argv[-1] + "\n")
+        argv = [*argv[:-1], str(manifest)]
+    if json_mode:
+        head = 2 if argv[0] in ("hilbert", "oracle") else 1
+        argv = [*argv[:head], "--json", *argv[head:]]
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if json_mode and code != 2:
+        jsonschema.validate(json.loads(out.getvalue()), SCHEMA)

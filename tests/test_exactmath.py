@@ -81,6 +81,32 @@ def test_prime_factors(n, factors):
     assert prime_factors(n) == factors
 
 
+def _trial_division_factors(n):
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + [n] * (n > 1)
+
+
+def test_prime_factors_matches_trial_division():
+    rng = random.Random(2024)
+    for n in [rng.randint(2, 10**7) for _ in range(2000)] + [1009 * 1013, 1009**3 * 1013, 2**40, 3**30]:
+        assert prime_factors(n) == _trial_division_factors(n), n
+
+
+def test_prime_factors_splits_large_prime_products():
+    # Pollard's rho splits what trial division could only reach after 10^9 steps
+    assert prime_factors(2 * 998244353 * 1000000007) == [2, 998244353, 1000000007]
+    assert prime_factors(1000003**2 * 999983) == [999983, 1000003]
+    assert prime_factors(2305843009213693951) == [2305843009213693951]  # 2^61 - 1
+    with pytest.raises(TooLarge):  # the cofactor is past is_prime's exact range
+        prime_factors(2**89 - 1)
+
+
 # === prime fields ===
 
 

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wps.errors import FieldMismatch, Mismatch, NotAConePoint, NotOnPatch, PrimeUnsuitable, Unsupported
+from wps.errors import FieldMismatch, Mismatch, NotAConePoint, NotOnPatch, PrimeUnsuitable, TooLarge, Unsupported
 from wps.exactmath import FpElem, PrimeField, QQ
 from wps.geometry import (
     WPoint,
     _geometric_key,
+    _int_root,
     cover_project,
     eq_geometric,
     eq_rational,
@@ -428,3 +429,28 @@ def test_patch_equivalent():
     assert patch_equivalent([3, 6], [3, 6], (1, 1, 2), 2, 13)
     with pytest.raises(ValueError, match="need 2 coordinates"):
         patch_equivalent([1], [2, 3], (1, 1, 2), 2, 13)
+
+
+# === work budget ===
+
+
+def test_scaling_over_q_counts_the_bits_of_its_powers():
+    # the fold raises a ~30-bit ratio to the 232729th power: refused at once
+    with pytest.raises(TooLarge, match="scaling test over Q for weights \\(32244, 40, 232729\\) exceeds the work limit"):
+        eq_geometric(qpt((32244, 40, 232729), 32244, 40, 32244), qpt((32244, 40, 232729), 32244, 32244, 232729))
+    big = (10**12 - 1, 10**12 - 1)
+    assert eq_rational(qpt(big, 10**12 - 1, 7230), qpt(big, 10**12 - 1, 7230))
+
+
+def test_int_root_of_a_huge_index():
+    # 2^k > n: only 1 is a k-th power, and no 2^(k-1) is formed
+    assert _int_root(1, 10**12) == 1
+    assert _int_root(10**12, 10**12) is None
+    assert _int_root(2**40, 40) == 2 and _int_root(3**40, 40) == 3
+
+
+def test_group_action_counts_its_group():
+    y = WPoint((1, 1, 1), [1, 2, 3], PrimeField(1801))
+    with pytest.raises(TooLarge, match="216000 group elements exceeds the work limit"):
+        orbit(y, (60, 60, 60), 1801)
+    assert stabilizer_order(y, (6, 6, 6), 1801) == 6

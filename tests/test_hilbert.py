@@ -12,6 +12,7 @@ from wps.hilbert import (
     embedding_report,
     expand,
     generator_discovery,
+    numerator_degree_bound,
     numerator_from_sequence,
 )
 from wps.parser import parse_upolynomial
@@ -54,6 +55,26 @@ def test_degree_past_the_work_limit_is_refused_before_the_work():
     with pytest.raises(TooLarge, match=f"numerator to degree {WORK_LIMIT + 1} exceeds the work limit"):
         numerator_from_sequence(ELLIPTIC, (1, 2, 3), WORK_LIMIT + 1)
     assert len(series("1", (1, 1)).expand(WORK_LIMIT)) == WORK_LIMIT + 1
+
+
+def test_numerator_counts_its_probe_horizon():
+    # the product is probed to max_degree + sum(a)
+    with pytest.raises(TooLarge, match="numerator to degree 36 exceeds the work limit"):
+        numerator_from_sequence(ELLIPTIC, (9649, 8, 637849906), 36)
+    with pytest.raises(TooLarge, match="numerators for 4 rows exceeds the work limit"):
+        embedding_report(EllSequence(0, 33), [(k, (1,) * (k + 1)) for k in range(1, 5)], max_degree=141414)
+
+
+def test_huge_genus_needs_no_list_of_its_ambiguous_range():
+    e = EllSequence(genus=10**12, divisor_degree=1)
+    assert e.ambiguous_count == 2 * 10**12 - 2
+    with pytest.raises(TooLarge):
+        numerator_from_sequence(e, (1, 1), numerator_degree_bound(e, (1, 1)))
+
+
+def test_embedding_rows_need_a_positive_k():
+    with pytest.raises(ValueError, match="row k must be positive, got 0"):
+        embedding_report(ELLIPTIC, [(0, (1, 2))])
 
 
 def test_to_string():

@@ -24,3 +24,11 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     unused = sorted(set(_imported_names(tree)) - _used_names(tree))
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_work_budget(path):
+    # errors.WORK_LIMIT is the only size limit: no caches and no other scan limits
+    text = path.read_text()
+    for name in ("lru_cache", "_MAX_VECTORS", "_MAX_BOX", "_check_scan"):
+        assert name not in text, f"{path.name} uses {name}"

@@ -3,7 +3,7 @@ import random
 import time
 from collections import Counter
 from itertools import product
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -73,12 +73,12 @@ def test_enumeration_is_canonical_and_distinct():
 
 
 def test_enumeration_scan_limit():
-    with pytest.raises(TooLarge, match="101\\^3 - 1 vectors exceed the scan limit"):
+    with pytest.raises(TooLarge, match="101\\^3 - 1 vectors times 100 scalings exceeds the work limit"):
         enumerate_wps_points((1, 1, 2), 101)
     # 100003 is prime; the limit must fire on the call, before any
     # per-prime work or a first vector
     start = time.perf_counter()
-    with pytest.raises(TooLarge, match="100003\\^2 - 1 vectors exceed the scan limit"):
+    with pytest.raises(TooLarge, match="100003\\^2 - 1 vectors times 100002 scalings exceeds the work limit"):
         enumerate_wps_points((1, 1), 100003)
     with pytest.raises(TooLarge):
         verify_orbit_stabilizer((1, 1), 100003)
@@ -88,9 +88,41 @@ def test_enumeration_scan_limit():
 def test_point_equality_scan_limit_comes_first():
     # the limit fires before the closure oracle tabulates discrete logs mod p
     start = time.perf_counter()
-    with pytest.raises(TooLarge, match="1000000007\\^2 - 1 vectors exceed the scan limit"):
+    with pytest.raises(TooLarge, match="3 steps for each of 1000000007\\^2 - 1 vectors exceeds the work limit"):
         verify_point_equality((1, 2), 1000000007)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_point_equality((1, 1), 499),
+        lambda: verify_point_equality((1, 2, 3), 61),
+        lambda: scan_curve_points(PlaneCurve(parse_polynomial("x^3+y^3+z^3", (1, 1, 1))), 97),
+        lambda: verify_orbit_stabilizer((6, 6, 6), 67),
+        lambda: enumerate_wps_points((1, 1), 499),
+        lambda: verify_veronese((7, 11, 13), 17, 5),
+        lambda: verify_veronese((1, 1, 1), 2, 5, 400),
+    ],
+)
+def test_scans_past_the_work_limit_are_refused_at_once(call):
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="exceeds the work limit"):
+        call()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_orbit_stabilizer_checks_the_prime_before_the_budget():
+    with pytest.raises(ValueError, match="modulus 68 is not prime"):
+        verify_orbit_stabilizer((6, 6, 6), 68)
+
+
+def test_veronese_budget_counts_monomials_and_scan_prefixes():
+    # over (1,1,1) a piece of degree k has C(k+2, 2) monomials and as many
+    # prefixes (x_0, x_1) of degree <= k: 2 * 118,635 steps answer, 2 * 125,076 do not
+    assert verify_veronese((1, 1, 1), 2, None, 110)["checked"] == sum(comb(k + 2, 2) for k in range(2, 111, 2)) == 118_635
+    with pytest.raises(TooLarge, match="125076 monomials of degree divisible by 2 up to 112 exceeds the work limit"):
+        verify_veronese((1, 1, 1), 2, None, 112)
 
 
 # === closure equality ===

@@ -142,3 +142,34 @@ def test_power_term_bound_is_checked_before_the_work():
     assert len(parse_polynomial("(x+y)^30", (1, 1)).terms) == 31
     assert parse_polynomial("(2*x)^100000", (1, 1)).terms == {(100000, 0): Fraction(2) ** 100000}
     assert parse_polynomial("0^7", (1, 1)).is_zero()
+
+
+def test_products_and_powers_share_one_running_total():
+    # three powers of 231^2 + 231 * 20 steps and a 231-by-231 product: 227,304
+    # so far; the 861-by-231 product that follows takes the total to 426,195
+    with pytest.raises(TooLarge, match="861-by-231-term product at position 21 exceeds the work limit"):
+        parse_polynomial("(x+y+z)^20*(x+y+z)^20*(x+y+z)^20", (1, 1, 1))
+    assert len(parse_polynomial("(x+y+z)^20*(x+y+z)^20", (1, 1, 1)).terms) == 861
+
+
+def test_power_counts_the_bits_of_its_coefficients():
+    # B^2 + B*m*h for B terms of up to m*h bits: 1 + 2m steps for (2x)^m, (m+1)^2 + (m+1)m for (x+y)^m
+    with pytest.raises(TooLarge, match="1-term base raised to 125000"):
+        parse_polynomial("(2*x)^125000", (1, 1))
+    with pytest.raises(TooLarge, match="2-term base raised to 177"):
+        parse_polynomial("(1-y-((7)^7)^22)^177", (1, 1))
+    assert len(parse_polynomial("(x+y)^352", (1, 1)).terms) == 353
+    with pytest.raises(TooLarge, match="1-term base raised to 64909178"):
+        parse_polynomial("(663/13)^64909178", (1, 1))
+    with pytest.raises(TooLarge):
+        parse_polynomial("x^1000000000000", (1, 1))
+    with pytest.raises(TooLarge):
+        parse_upolynomial("t^1000000000000")
+    assert parse_polynomial("x^249999", (1, 1)).terms == {(249999, 0): 1}
+
+
+def test_nested_powers_are_counted_where_they_turn_dense():
+    # (t^14)^180383 is 180,397 parser steps but a dense polynomial of degree 2,525,362
+    with pytest.raises(TooLarge, match="dense polynomial of degree 2525362 exceeds the work limit"):
+        parse_upolynomial("((t)^14)^180383")
+    assert parse_upolynomial("((t)^14)^17857").degree() == 249998

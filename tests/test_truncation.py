@@ -3,7 +3,7 @@ from math import factorial, gcd, lcm, prod
 
 import pytest
 
-from wps.errors import BadCase, Mismatch, NotHomogeneous
+from wps.errors import WORK_LIMIT, BadCase, Mismatch, NotHomogeneous, TooLarge
 from wps.oracle import verify_veronese
 from wps.parser import parse_polynomial
 from wps.truncation import (
@@ -19,7 +19,7 @@ from wps.truncation import (
     transform_principal_ideal,
     veronese_generators,
 )
-from wps.wpoly import monomial_degree
+from wps.wpoly import monomial_degree, power_steps
 
 # === graded pieces ===
 
@@ -279,3 +279,21 @@ def test_presentation_validates_relations():
         GradedPresentation((1, 1, 1), ["x", "y", "z"], [rel], [1, 1])
     with pytest.raises(Mismatch, match="does not match"):
         GradedPresentation((1, 1, 2), ["x", "y", "z"], [rel], [1])
+
+
+def test_power_raise_shares_the_parser_power_rule():
+    # f^97 of a 3-term f with unit coefficients: B = C(99, 2) = 4851 terms, B^2 + B * 97 steps
+    f = parse_polynomial("x*y+x*z+x^98", (1, 97, 97))
+    assert power_steps(f, 97) == 4851**2 + 4851 * 97 > WORK_LIMIT
+    with pytest.raises(TooLarge, match="3-term ideal generator raised to 97 exceeds the work limit"):
+        transform_principal_ideal(f, (1, 97, 97), 97, "II", 0)
+    g = parse_polynomial("x*y+x*z+x^8", (1, 7, 7))
+    assert power_steps(g, 7) <= WORK_LIMIT
+    assert transform_principal_ideal(g, (1, 7, 7), 7, "II", 0)[1] == TAG_POWER_RAISED
+
+
+def test_veronese_box_counts_its_coordinates():
+    # 3 * 43^3 = 238,521 steps answer; 3 * 44^3 = 255,552 do not
+    assert len(veronese_generators((1, 1, 1), 43)) == 990
+    with pytest.raises(TooLarge, match="Veronese box of 85184 vectors in 3 coordinates exceeds the work limit"):
+        veronese_generators((1, 1, 1), 44)
