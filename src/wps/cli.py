@@ -139,11 +139,11 @@ def cmd_check(args, parser):
         "vertices": None,
     }
     if general:
-        verts = vertex_membership(curve)
+        census = branch_census(curve) if args.census else None
+        verts = census["vertices"] if census else vertex_membership(curve)
         lines.append("vertices on curve: " + " ".join(f"p{i}={_yn(v)}" for i, v in enumerate(verts)))
         data["vertices"] = list(verts)
-        if args.census:
-            census = branch_census(curve)
+        if census:
             data["census"] = census
             lines.append("census:")
             lines += [

@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AmbiguousLowDegree, NumeratorNotPolynomial, check_work
-from .exactmath import QQ, UPolynomial
+from .exactmath import QQ, UPolynomial, height
 from .truncation import graded_piece_basis
 
 
@@ -64,11 +64,16 @@ def expand(s: HilbertSeries, n: int) -> list[int]:
     """Coefficients c_0..c_n of the power series, as exact integers.
 
     Iterated prefix sums with stride a_i expand each 1/(1-t^{a_i}) factor.
+    Each coefficient counts one step per 64-bit word of the largest numerator
+    coefficient: the coefficients are that large, and callers that write
+    them out in decimal pay for every word.
     """
     if n < 0:
         raise ValueError("expansion length must be non-negative")
-    check_work(n, f"series expansion to degree {n}")
     num = s.int_coeffs
+    words = max(1, -(-max(map(height, num), default=0) // 64))
+    what = f"series expansion to degree {n}" + (f" with {words}-word coefficients" if words > 1 else "")
+    check_work(n * words, what)
     c = num[: n + 1] + [0] * max(0, n + 1 - len(num))
     for a in s.denominator_weights:
         for k in range(a, n + 1):

@@ -241,26 +241,29 @@ def scan_curve_points(c: PlaneCurve, p: int) -> dict:
     """Count the F_p-points, and the F_p^*-orbits of vectors, on the curve,
     and the orbits singular there.
 
-    A cone scan: a nonzero vector lies in an orbit of (p-1)/gcd(g_S, p-1)
-    vectors, g_S the gcd of the weights on its support, so each vector adds
-    gcd(g_S, p-1) to a tally of p-1 times the orbit count.  Every F_p-point
-    of P(a) has exactly p-1 vectors over F_p (lambda^(a_i) in F_p on the
-    support gives lambda^(g_S) in F_p, and mu_(g_S) cancels that factor),
-    so each vector on the curve also adds 1 to p-1 times the point count.
-    f and its partials are evaluated by table lookups on int residues.
+    A cone scan, one support S at a time: a vector with support S lies in an
+    orbit of (p-1)/w_S vectors, w_S = gcd(g_S, p-1) and g_S the gcd of the
+    weights on S, so each of its (p-1)^|S| vectors adds w_S to a tally of p-1
+    times the orbit count.  Every F_p-point of P(a) has exactly p-1 vectors
+    over F_p (lambda^(a_i) in F_p on S gives lambda^(g_S) in F_p, and
+    mu_(g_S) cancels that factor), so each vector on the curve also adds 1
+    to p-1 times the point count.  f and its partials are evaluated by table
+    lookups on int residues, without the terms that vanish on all of S (a
+    term vanishes there iff it does at the 0/1 indicator vector of S).
     """
     a = c.weight
     check_work(p ** len(a) - 1, f"{p}^{len(a)} - 1 vectors")
     f = reduce_mod(c.poly, p)
-    rows, *parts = _power_rows([f] + [partial(f, i) for i in range(3)], p)
+    polys = _power_rows([f] + [partial(f, i) for i in range(3)], p)
     total = on_curve = rational = singular = 0
-    for x in _all_vectors(a, p):
-        w = gcd(p - 1, *(ai for ai, v in zip(a, x) if v))
-        total += w
-        if _vanishes(rows, x, p):
-            on_curve += w
-            rational += 1
-            singular += w * all(_vanishes(g, x, p) for g in parts)
+    for support in islice(product((0, 1), repeat=len(a)), 1, None):
+        w = gcd(p - 1, *(ai for ai, s in zip(a, support) if s))
+        total += w * (p - 1) ** sum(support)
+        rows, *parts = ([r for r in g if all(t[s] for t, s in zip(r[1:], support))] for g in polys)
+        zeros = [x for x in product(*(range(1, p) if s else (0,) for s in support)) if _vanishes(rows, x, p)]
+        on_curve += w * len(zeros)
+        rational += len(zeros)
+        singular += w * sum(all(_vanishes(g, x, p) for g in parts) for x in zeros)
     return {
         "weights": list(a),
         "p": p,

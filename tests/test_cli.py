@@ -104,6 +104,26 @@ def test_check_with_census(capsys):
     ]
 
 
+@pytest.mark.parametrize("census", [[], ["--census"]])
+def test_check_tests_sufficiently_general_twice(capsys, monkeypatch, census):
+    # cmd_check once, then the guard inside vertex_membership (which the census runs)
+    import wps.cli
+    import wps.curves
+
+    calls = []
+    inner = wps.curves.sufficiently_general
+
+    def counted(c):
+        calls.append(c)
+        return inner(c)
+
+    monkeypatch.setattr(wps.cli, "sufficiently_general", counted)
+    monkeypatch.setattr(wps.curves, "sufficiently_general", counted)
+    code, _, _ = run(capsys, "check", "--weights", "1,2,3", "--poly", "x^7 + y^2*z + x*z^2", *census)
+    assert code == 0
+    assert len(calls) == 2
+
+
 def test_check_reports_violations_without_failing(capsys):
     code, out, _ = run(
         capsys, "check", "--weights", "1,2,3", "--poly", "x^7 + x*y^3", "--census"
@@ -272,7 +292,7 @@ def test_eq_non_coprime_weights(capsys):
 def test_oracle_run(capsys):
     code, out, _ = run(capsys, "oracle", "run", "--manifest", MANIFEST)
     assert code == 0
-    assert out[-1] == "11/11 checks passed"
+    assert out[-1] == "13/13 checks passed"
     assert all(line.startswith("ok ") for line in out[:-1])
 
 
@@ -403,6 +423,17 @@ def test_work_limit_refuses_before_the_work(capsys, argv):
     assert code == 1
     assert payload["error"]["code"] == "E_TOO_LARGE"
     assert "exceeds the work limit of 250000 steps" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("weights, n", [("39,4,39,1814,171", "49378"), ("1,2,3", "240000")])
+def test_expand_counts_the_words_of_large_coefficients(capsys, weights, n):
+    # a 6,791-bit constant: printing its expansion took 4.8 s and 23.9 s when each degree counted one step
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "hilbert", "expand", "--weights", weights, "--numerator", "((128))^970", "-N", n)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert payload["error"]["code"] == "E_TOO_LARGE"
+    assert "107-word coefficients exceeds the work limit" in payload["error"]["message"]
 
 
 

@@ -36,10 +36,11 @@ from wps.curves import (
     vertex_membership,
 )
 from wps.exactmath import QQ, PrimeField, distinct_root_count, upoly_gcd
+from wps.oracle import scan_curve_points
 from wps.parser import parse_polynomial
 from wps.truncation import graded_piece_basis
 from wps.weights import is_well_formed
-from wps.wpoly import WPolynomial, restrict_to_edge, variable_names
+from wps.wpoly import WPolynomial, reduce_mod, restrict_to_edge, variable_names
 
 
 def curve(text, weight):
@@ -284,6 +285,54 @@ def test_riemann_hurwitz_check():
     assert not riemann_hurwitz_check(10, 1, 6, 17)
     with pytest.raises(ValueError):
         riemann_hurwitz_check(1, 1, 0, 0)
+
+
+def _general_sweep_curve(rng, a, d):
+    # the monomials the sufficiently-general clauses ask for, plus up to two others; coefficients 1..5
+    terms = {}
+    for i, ai in enumerate(a):
+        e = [0, 0, 0]
+        if d % ai == 0:
+            e[i] = d // ai
+        else:
+            j = rng.choice([j for j in range(3) if j != i and d >= a[j] and (d - a[j]) % ai == 0])
+            e[j] += 1
+            e[i] += (d - a[j]) // ai
+        terms[tuple(e)] = rng.randint(1, 5)
+    extras = list(graded_piece_basis(a, d))
+    rng.shuffle(extras)
+    terms.update({e: rng.randint(1, 5) for e in extras[: rng.randint(0, 2)]})
+    return PlaneCurve(WPolynomial(a, QQ, terms))
+
+
+def test_point_counts_obey_hasse_weil():
+    # genus(d, a) against F_p-point counts, at primes of good reduction: p does not divide d, no
+    # singular F_p-point, and every edge of the straight cover keeps its distinct roots mod p.
+    # Genus 0 gives exactly p + 1 points; otherwise (N - p - 1)^2 <= 4 g^2 p (Hasse-Weil).
+    rng = random.Random(20161018)
+    instances = list(sweep_instances(max_degree=24))
+    checked = curves = 0
+    while curves < 40:
+        d, a = rng.choice(instances)
+        c = _general_sweep_curve(rng, a, d)
+        try:
+            edges = [row["poly"] for row in edge_squarefree_check(c)[1]]
+        except DegenerateEdge:
+            continue
+        curves += 1
+        g = genus(d, a)
+        for p in (11, 13):
+            report = scan_curve_points(c, p)
+            reduced = [row["poly"] for row in edge_squarefree_check(PlaneCurve(reduce_mod(c.poly, p)))[1]]
+            lost = any(distinct_root_count(r) < distinct_root_count(e) for r, e in zip(reduced, edges))
+            if d % p == 0 or report["singular_points"] or lost:
+                continue
+            checked += 1
+            n = report["rational_points"]
+            if g == 0:
+                assert n == p + 1, (d, a, c.poly.to_string(), p)
+            assert (n - p - 1) ** 2 <= 4 * g * g * p, (d, a, g, c.poly.to_string(), p, n)
+    assert checked >= 60, checked
 
 
 # === the integrality sweep ===

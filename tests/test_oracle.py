@@ -543,5 +543,5 @@ def test_run_job_checks_expected_rational_points():
 def test_reference_manifest_passes():
     result = run_manifest(MANIFEST.read_text())
     assert result["ok"]
-    assert len(result["jobs"]) == 11
+    assert len(result["jobs"]) == 13
     assert all(row["ok"] for row in result["jobs"])
