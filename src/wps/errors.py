@@ -88,6 +88,18 @@ def check_work(work: int, what: str) -> None:
         raise TooLarge(f"{what} exceeds the work limit of {WORK_LIMIT} steps")
 
 
+# The size limit on integers in polynomial and point input and in answers: below CPython's
+# int <-> str limit of 4,300 digits, so no answer depends on the interpreter's setting of it.
+DIGIT_LIMIT = 4_000
+
+
+def check_digits(values, what: str) -> None:
+    """Raise TooLarge, before any decimal conversion, when an int or Fraction in `values`
+    may have more than DIGIT_LIMIT decimal digits: 2^13284 < 10^4000 bounds them by bit length."""
+    if any(max(abs(q.numerator), q.denominator).bit_length() > DIGIT_LIMIT * 3321 // 1000 for q in values):
+        raise TooLarge(f"{what} has more than {DIGIT_LIMIT} decimal digits")
+
+
 class ParseError(WPSError):
     """Syntax error in a polynomial, weight, or point string."""
 

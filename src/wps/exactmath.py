@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import FieldMismatch, TooLarge, ZeroPolynomial
+from .errors import FieldMismatch, TooLarge, ZeroPolynomial, check_digits
 
 # (base, psi): an odd n < psi that is a strong probable prime to every base
 # up to this one is prime (Sorenson and Webster 2015, the first 13 primes).
@@ -454,6 +454,7 @@ class UPolynomial:
         """Human form in ascending powers, e.g. '1 - t^6'."""
         if self.is_zero():
             return "0"
+        check_digits(self.coeffs if self.field == QQ else (), "a coefficient of the polynomial")
         parts: list[str] = []
         for i, c in enumerate(self.coeffs):
             if c == self.field.zero:

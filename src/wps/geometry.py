@@ -64,8 +64,8 @@ def _fold_chain(a: Weight, support: tuple[int, ...]):
     return G, i0, tuple(steps)
 
 
-def _fold(a: Weight, values, support: tuple[int, ...], m: int | None):
-    """(G, R, relations) for the conditions lambda^{a_i} = values_i on the support.
+def _fold(a: Weight, values, chain, m: int | None):
+    """(G, R, relations) for lambda^{a_i} = values_i along the support's `_fold_chain`.
 
     With g = gcd(G, a) = u*G + v*a, the pair {lambda^G = R, lambda^a = r} is
     equivalent to {lambda^g = R^u r^v, R^{a/g} = r^{G/g}}, so the conditions
@@ -76,7 +76,7 @@ def _fold(a: Weight, values, support: tuple[int, ...], m: int | None):
     iff every relation holds, and then lambda^G = R is what is left.  pow(., .,
     m) works on int residues mod m over F_p and on Fractions (m None) over Q.
     """
-    G, i, steps = _fold_chain(a, support)
+    G, i, steps = chain
     if m is None:  # one step per bit of each power of a Fraction taken below
         size, work = height(values[i]), 0
         for k, ag, Gg, u, v in steps:
@@ -92,14 +92,17 @@ def _fold(a: Weight, values, support: tuple[int, ...], m: int | None):
     return G, R, relations
 
 
-def _geometric_key(a: Weight, values, m: int | None):
+def _geometric_key(a: Weight, values, m: int | None, chains: dict | None = None):
     """(support, the values x^m of the fold's relations) of a vector of int
     residues mod the prime m or of Fractions (m None).  Two vectors are one
     point over the algebraic closure iff their keys are equal: the characters
-    x^m of the quotient torus separate its orbits.
+    x^m of the quotient torus separate its orbits.  `chains` caches a fold chain per support.
     """
     support = tuple(i for i, v in enumerate(values) if v)
-    quotients = [pow(rhs, -1, m) * lhs for lhs, rhs in _fold(a, values, support, m)[2]]
+    chains = {} if chains is None else chains
+    if support not in chains:
+        chains[support] = _fold_chain(a, support)
+    quotients = [pow(rhs, -1, m) * lhs for lhs, rhs in _fold(a, values, chains[support], m)[2]]
     return support, tuple(quotients if m is None else (t % m for t in quotients))
 
 
@@ -116,7 +119,7 @@ def _scaling_root(p: WPoint, q: WPoint):
         return None
     m = p.field.p if isinstance(p.field, PrimeField) else None
     ratios = {i: pow(p.values[i], -1, m) * q.values[i] for i in p._support}
-    G, R, relations = _fold(p.weight, ratios, p._support, m)
+    G, R, relations = _fold(p.weight, ratios, _fold_chain(p.weight, p._support), m)
     if any(lhs != rhs for lhs, rhs in relations):
         return None
     return G, R

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import AmbiguousLowDegree, NumeratorNotPolynomial, check_work
+from .errors import AmbiguousLowDegree, NumeratorNotPolynomial, check_digits, check_work
 from .exactmath import QQ, UPolynomial, height
 from .truncation import graded_piece_basis
 
@@ -78,6 +78,7 @@ def expand(s: HilbertSeries, n: int) -> list[int]:
     for a in s.denominator_weights:
         for k in range(a, n + 1):
             c[k] += c[k - a]
+    check_digits(c, f"a coefficient of the expansion to degree {n}")
     return c
 
 

@@ -81,6 +81,7 @@ class ClosureEquality:
         while big % p == 0:
             big //= p
         self.M = big
+        self._chains: dict = {}  # support -> the steps of `key`
 
     def key(self, x: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(support, least member of L_x + <(a_i)_{i in S}>) for a vector x.
@@ -88,19 +89,23 @@ class ClosureEquality:
         The least member is fixed one coordinate at a time: the shifts t
         that keep the coordinates so far at their minima form the coset
         t0 + <step> of Z_M, and over it coordinate i takes the values
-        c + g*Z, g = gcd(step*a_i, M), whose least residue is c mod g.
+        c + g*Z, g = gcd(step*a_i, M), whose least residue c mod g the shift
+        t0 - (c//g)*u reaches; (i, g, u) depend only on the support, kept per support.
         """
         p, M = self.p, self.M
         k = M // self.m
         support = tuple(i for i in range(len(self.a)) if x[i] % p != 0)
-        t0, step, least = 0, 1, []
-        for i in support:
+        if support not in self._chains:
+            step, chain = 1, self._chains.setdefault(support, [])
+            for i in support:
+                r = step * self.a[i] % M
+                g = gcd(r, M)
+                chain.append((i, g, pow(r // g, -1, M // g) * step % M))
+                step = gcd(step * M // g, M)
+        t0, least = 0, []
+        for i, g, u in self._chains[support]:
             c = (self._dlog[x[i] % p] * k + t0 * self.a[i]) % M
-            r = step * self.a[i] % M
-            g = gcd(r, M)
-            n = M // g
-            t0 = (t0 - c // g * pow(r // g, -1, n) * step) % M
-            step = gcd(step * n, M)
+            t0 = (t0 - c // g * u) % M
             least.append(c % g)
         return support, tuple(least)
 
@@ -127,7 +132,8 @@ def verify_point_equality(a: Weight, p: int, max_recorded: int = 20) -> dict:
     check_work((n + 1) * (p**n - 1), f"{n + 1} steps for each of {p}^{n} - 1 vectors")
     vectors = list(_all_vectors(a, p))
     oracle = ClosureEquality(a, p)
-    geo = [_geometric_key(a, vec, p) for vec in vectors]
+    folds: dict = {}  # support -> fold chain, at most 2^n - 1 entries, as ClosureEquality keeps its own
+    geo = [_geometric_key(a, vec, p, folds) for vec in vectors]
     clo = [oracle.key(vec) for vec in vectors]
     geo_n, clo_n, cells = Counter(geo), Counter(clo), Counter(zip(geo, clo))
     mismatch_count = _pairs(geo_n.values()) + _pairs(clo_n.values()) - 2 * _pairs(cells.values())
@@ -249,21 +255,33 @@ def scan_curve_points(c: PlaneCurve, p: int) -> dict:
     mu_(g_S) cancels that factor), so each vector on the curve also adds 1
     to p-1 times the point count.  f and its partials are evaluated by table
     lookups on int residues, without the terms that vanish on all of S (a
-    term vanishes there iff it does at the 0/1 indicator vector of S).
+    term vanishes there iff it does at the 0/1 indicator vector of S).  The
+    scan is sliced by torus cosets: f and its partials are weighted-homogeneous,
+    so x -> lambda.x maps the (singular) zeros with x_i0 = c onto those with
+    x_i0 = lambda^(a_i0) c, and each count is constant on the g0 = gcd(a_i0, p-1)
+    cosets of the a_i0-th powers.  So only x_i0 = gamma^j, j < g0, gamma a
+    generator of F_p^*, is scanned (i0 in S with the least g0), each vector
+    found counts (p-1)/g0 times, and S takes g0 (p-1)^(|S|-1) steps.
     """
     a = c.weight
-    check_work(p ** len(a) - 1, f"{p}^{len(a)} - 1 vectors")
+    gs = [gcd(ai, p - 1) for ai in a]
+    slices = [(s, min((i for i in range(len(a)) if s[i]), key=gs.__getitem__)) for s in islice(product((0, 1), repeat=len(a)), 1, None)]
+    check_work(sum(gs[i0] * (p - 1) ** (sum(s) - 1) for s, i0 in slices), f"the torus-coset slices of {p}^{len(a)} - 1 vectors")
     f = reduce_mod(c.poly, p)
+    gamma = PrimeField(p).primitive_root().value
     polys = _power_rows([f] + [partial(f, i) for i in range(3)], p)
     total = on_curve = rational = singular = 0
-    for support in islice(product((0, 1), repeat=len(a)), 1, None):
+    for support, i0 in slices:
         w = gcd(p - 1, *(ai for ai, s in zip(a, support) if s))
         total += w * (p - 1) ** sum(support)
         rows, *parts = ([r for r in g if all(t[s] for t, s in zip(r[1:], support))] for g in polys)
-        zeros = [x for x in product(*(range(1, p) if s else (0,) for s in support)) if _vanishes(rows, x, p)]
-        on_curve += w * len(zeros)
-        rational += len(zeros)
-        singular += w * sum(all(_vanishes(g, x, p) for g in parts) for x in zeros)
+        axes = [range(1, p) if s else (0,) for s in support]
+        axes[i0] = [pow(gamma, j, p) for j in range(gs[i0])]
+        zeros = [x for x in product(*axes) if _vanishes(rows, x, p)]
+        k = (p - 1) // gs[i0]
+        on_curve += k * w * len(zeros)
+        rational += k * len(zeros)
+        singular += k * w * sum(all(_vanishes(g, x, p) for g in parts) for x in zeros)
     return {
         "weights": list(a),
         "p": p,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .errors import FieldMismatch, NotHomogeneous, ZeroPolynomial
+from .errors import FieldMismatch, NotHomogeneous, ZeroPolynomial, check_digits
 from .exactmath import QQ, PrimeField, UPolynomial, height
 from .weights import Weight
 
@@ -81,10 +81,6 @@ class WPolynomial:
     @classmethod
     def zero(cls, weight: Weight, field=QQ) -> "WPolynomial":
         return cls(weight, field)
-
-    @classmethod
-    def monomial(cls, weight: Weight, e: Monomial, coeff=1, field=QQ) -> "WPolynomial":
-        return cls(weight, field, {tuple(e): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -172,6 +168,7 @@ class WPolynomial:
         """Reparseable text form, terms in canonical order."""
         if self.is_zero():
             return "0"
+        check_digits(self.terms.values() if self.field == QQ else (), "a coefficient of the polynomial")
         names = variable_names(self.nvars())
         parts: list[str] = []
         for e, c in self.sorted_terms():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import signal
+import sys
 import time
 from pathlib import Path
 
@@ -438,12 +439,39 @@ def test_expand_counts_the_words_of_large_coefficients(capsys, weights, n):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "expand", "--weights", "1,1", "--numerator", "(10)^5000", "-N", "1"],
+        ["check", "--weights", "1,1,1", "--poly", "(10)^5000*x"],
+        ["cover", "--weights", "1,1,1", "--poly", "(10)^5000*x"],
+        ["straighten", "--weights", "1,1,1", "--poly", "(10)^5000*x"],
+        ["check", "--weights", "1,1,1", "--poly", "7" * 4500 + "*x"],
+        ["straighten", "--weights", "1,2,2", "--poly", "(10)^2000*x^3+x*y"],  # (10^2000)^2 after squaring
+        ["hilbert", "expand", "--weights", "1,1,1,1,1,1,1,1", "--numerator", "(10)^3995", "-N", "1000"],
+        ["eq", "--weights", "1,1", "--field", "q", "1:" + "7" * 4500, "1:2"],
+    ],
+)
+def test_integers_past_the_digit_limit_are_refused_alike(capsys, argv):
+    # a stated cap of 4,000 digits, below CPython's int <-> str limit: the answer does not depend on that limit
+    code, payload = run_json(capsys, *argv)
+    assert code == 1 and payload["error"]["code"] == "E_TOO_LARGE", payload
+    assert "more than 4000 decimal digits" in payload["error"]["message"]
+    if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert run_json(capsys, *argv) == (code, payload)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
     "argv, line",
     [
         (None, "verify=point_equality weights=1,1 p=499"),
         (None, "verify=point_equality weights=1,2,3 p=61"),
         (None, "verify=point_equality weights=1,1 p=997"),
-        (None, "verify=curve_scan weights=1,1,1 p=97 poly=x^3+y^3+z^3"),
+        (None, "verify=curve_scan weights=1,1,1 p=503 poly=x^3+y^3+z^3"),
         (None, "verify=orbit_stabilizer weights=6,6,6 p=67"),
         (None, "verify=veronese weights=7,11,13 p=5 d=17"),
         (None, "verify=veronese weights=1,1,1 p=5 d=2 cap=400"),
@@ -471,7 +499,7 @@ def test_every_entry_point_refuses_past_the_budget_at_once(capsys, tmp_path, arg
 
 
 def test_requests_under_the_budget_still_answer(capsys, tmp_path):
-    # 169,323 parser steps; p^3 - 1 = 226,980 curve vectors; the default
+    # 169,323 parser steps; 3,783 sliced curve vectors at p = 61; the default
     # sweep is 165 triples times 59 degrees
     code, out, _ = run(capsys, "check", "--weights", "1,1,1", "--poly", "(x+y+z)^20*(x+y+z)^20")
     assert code == 0 and out[0] == "degree: 40"

@@ -98,7 +98,7 @@ def test_point_equality_scan_limit_comes_first():
     [
         lambda: verify_point_equality((1, 1), 499),
         lambda: verify_point_equality((1, 2, 3), 61),
-        lambda: scan_curve_points(PlaneCurve(parse_polynomial("x^3+y^3+z^3", (1, 1, 1))), 97),
+        lambda: scan_curve_points(PlaneCurve(parse_polynomial("x^3+y^3+z^3", (1, 1, 1))), 503),
         lambda: verify_orbit_stabilizer((6, 6, 6), 67),
         lambda: enumerate_wps_points((1, 1), 499),
         lambda: verify_veronese((7, 11, 13), 17, 5),
@@ -454,8 +454,20 @@ def test_scan_curve_points_matches_pow_reference():
         seen["not well-formed"] += not is_well_formed(a)
         seen["singular"] += report["singular_points"] > 0
         seen["smooth point"] += report["points_on_curve"] > report["singular_points"]
+        # a support of two coordinates, each with gcd(a_i, p - 1) >= 2, is scanned in g0 >= 2 torus-coset slices
+        seen["sliced"] += any(min(gcd(a[i], p - 1), gcd(a[j], p - 1)) >= 2 for i, j in ((0, 1), (0, 2), (1, 2)))
     assert all(seen[p] >= 15 for p in (2, 3, 5, 7, 11, 13, 17)), seen
-    assert all(seen[k] >= 200 for k in ("zero coefficient", "p | a_i", "not well-formed", "singular", "smooth point")), seen
+    keys = ("zero coefficient", "p | a_i", "not well-formed", "singular", "smooth point", "sliced")
+    assert all(seen[k] >= 200 for k in keys), seen
+
+
+def test_plane_cubic_is_scanned_up_to_p_499():
+    # the sliced scan takes 3 + 3 * 498 + 498^2 = 249,501 steps at p = 499 (p = 503 is refused);
+    # the Fermat cubic is smooth of genus 1, so |N - p - 1| <= 2 sqrt(p) (Hasse-Weil)
+    report = scan_curve_points(PlaneCurve(parse_polynomial("x^3+y^3+z^3", (1, 1, 1))), 499)
+    assert report["total_points"] == 499**2 + 499 + 1
+    assert report["singular_points"] == 0
+    assert (report["rational_points"] - 500) ** 2 <= 4 * 499
 
 
 def _closure_point_count(c, p):
