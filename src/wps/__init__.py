@@ -59,7 +59,6 @@ from .wpoly import (
 from .parser import parse_point_coords, parse_polynomial, parse_upolynomial
 from .truncation import (
     GradedPresentation,
-    default_degree_bound,
     graded_piece_basis,
     regrade,
     regraded_degrees,

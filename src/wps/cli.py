@@ -21,7 +21,7 @@ from .curves import (
     sufficiently_general,
     vertex_membership,
 )
-from .errors import ParseError, WPSError
+from .errors import ParseError, WPSError, check_length
 from .exactmath import QQ, PrimeField
 from .geometry import WPoint, eq_geometric, eq_rational
 from .hilbert import (
@@ -53,19 +53,27 @@ def _weight_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _int_arg(text: str) -> int:
+    check_length(text, "an integer argument")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _override_arg(text: str) -> tuple[int, int]:
     try:
         n, v = text.split("=", 1)
-        return int(n), int(v)
-    except ValueError:
+        return _int_arg(n), _int_arg(v)
+    except (ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(f"expected n=value, got {text!r}")
 
 
 def _row_arg(text: str):
     try:
         k, weights = text.split("=", 1)
-        return int(k), parse_weight(weights, min_len=1)
-    except (ValueError, ParseError):
+        return _int_arg(k), parse_weight(weights, min_len=1)
+    except (ValueError, ParseError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(f"expected k=weights, got {text!r}")
 
 
@@ -263,6 +271,7 @@ def cmd_hilbert_table(args, parser):
 
 
 def cmd_eq(args, parser):
+    check_length(args.field, "the field")
     field = QQ if args.field.lower() == "q" else PrimeField(int(args.field))
     a = args.weights
     p1 = WPoint(a, parse_point_coords(args.pt1, field, len(a)), field)
@@ -324,10 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = leaf(sub, "genus", cmd_genus, "degree-genus formula")
     p.add_argument("--weights", type=_weight_arg)
-    p.add_argument("--degree", type=int)
+    p.add_argument("--degree", type=_int_arg)
     p.add_argument("--sweep", action="store_true", help="integrality sweep")
-    p.add_argument("--max-entry", type=int, default=9)
-    p.add_argument("--max-degree", type=int, default=60)
+    p.add_argument("--max-entry", type=_int_arg, default=9)
+    p.add_argument("--max-degree", type=_int_arg, default=60)
 
     p = leaf(sub, "check", cmd_check, "curve genericity diagnostics")
     p.add_argument("--weights", type=_weight_arg, required=True)
@@ -340,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = leaf(sub, "truncate", cmd_truncate, "Veronese truncation generators")
     p.add_argument("--weights", type=_weight_arg, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int_arg, required=True)
     p.add_argument("--poly")
 
     p = leaf(sub, "straighten", cmd_straighten, "carry an ideal through well-forming")
@@ -354,21 +363,21 @@ def build_parser() -> argparse.ArgumentParser:
     q = leaf(hsub, "expand", cmd_hilbert_expand, "series coefficients", "hilbert expand")
     q.add_argument("--weights", type=_weight_arg, required=True)
     q.add_argument("--numerator", default="1")
-    q.add_argument("-N", dest="n", type=int, required=True, help="last degree")
+    q.add_argument("-N", dest="n", type=_int_arg, required=True, help="last degree")
 
     q = leaf(hsub, "numerator", cmd_hilbert_numerator, "recover N(t) from ell values", "hilbert numerator")
     q.add_argument("--weights", type=_weight_arg, required=True)
-    q.add_argument("--genus", type=int, required=True)
-    q.add_argument("--deg", type=int, required=True, help="divisor degree")
+    q.add_argument("--genus", type=_int_arg, required=True)
+    q.add_argument("--deg", type=_int_arg, required=True, help="divisor degree")
     q.add_argument("--override", type=_override_arg, action="append", metavar="n=v")
-    q.add_argument("-N", dest="n", type=int, help="max numerator degree")
+    q.add_argument("-N", dest="n", type=_int_arg, help="max numerator degree")
 
     q = leaf(hsub, "table", cmd_hilbert_table, "per-embedding numerators", "hilbert table")
-    q.add_argument("--genus", type=int, default=1)
-    q.add_argument("--deg", type=int, default=1)
+    q.add_argument("--genus", type=_int_arg, default=1)
+    q.add_argument("--deg", type=_int_arg, default=1)
     q.add_argument("--override", type=_override_arg, action="append", metavar="n=v")
     q.add_argument("--row", type=_row_arg, action="append", metavar="k=weights")
-    q.add_argument("-N", dest="n", type=int, help="max numerator degree")
+    q.add_argument("-N", dest="n", type=_int_arg, help="max numerator degree")
 
     p = leaf(sub, "eq", cmd_eq, "point equality tests")
     p.add_argument("--weights", type=_weight_arg, required=True)
@@ -385,22 +394,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    json_mode = args.json or os.environ.get("WPS_JSON") == "1"
-    command = getattr(args, "cmdname", getattr(args, "command", "?"))
+    # parsing overwrites both, unless an argument's type refuses an over-long integer first
+    args = argparse.Namespace(json="--json" in argv, cmdname=" ".join(argv[: 2 if argv[:1] in (["hilbert"], ["oracle"]) else 1]))
     try:
+        parser.parse_args(argv, args)
         ok, lines, data = args.func(args, parser)
     except (WPSError, ValueError, OSError) as exc:
         code = exc.code if isinstance(exc, WPSError) else "E_VALUE" if isinstance(exc, ValueError) else "E_IO"
-        if json_mode:
+        if args.json or os.environ.get("WPS_JSON") == "1":
             error = {"code": code, "message": str(exc)}
-            print(json.dumps({"command": command, "ok": False, "error": error}))
+            print(json.dumps({"command": args.cmdname, "ok": False, "error": error}))
         else:
             print(f"error[{code}]: {exc}", file=sys.stderr)
         return 1
-    if json_mode:
-        print(json.dumps({"command": command, "ok": ok, "data": data}))
+    if args.json or os.environ.get("WPS_JSON") == "1":
+        print(json.dumps({"command": args.cmdname, "ok": ok, "data": data}))
     else:
         for line in lines:
             print(line)

@@ -100,6 +100,13 @@ def check_digits(values, what: str) -> None:
         raise TooLarge(f"{what} has more than {DIGIT_LIMIT} decimal digits")
 
 
+def check_length(text: str, what: str) -> None:
+    """Raise TooLarge, before int() or Fraction() converts it, when the numeral `text`
+    is longer than DIGIT_LIMIT: the one check on integers read from text."""
+    if len(text) > DIGIT_LIMIT:
+        raise TooLarge(f"{what} has more than {DIGIT_LIMIT} decimal digits")
+
+
 class ParseError(WPSError):
     """Syntax error in a polynomial, weight, or point string."""
 

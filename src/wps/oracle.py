@@ -10,17 +10,17 @@ int residues.  A manifest file drives batches of checks.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice, product
+from itertools import islice, product, repeat
 from math import gcd, lcm, prod
+from operator import mod
 
 from .curves import PlaneCurve
-from .errors import check_work
+from .errors import check_length, check_work
 from .exactmath import QQ, PrimeField, UPolynomial
 from .geometry import WPoint, _geometric_key, _group_elements, _orbit_stabilizer, fp_orbit_min
 from .hilbert import HilbertSeries, expand
 from .parser import parse_polynomial
 from .truncation import (
-    default_degree_bound,
     graded_piece_basis,
     regraded_degrees,
     veronese_generators,
@@ -176,46 +176,44 @@ def verify_orbit_stabilizer(a: Weight, p: int) -> dict:
     }
 
 
-def _can_factor(e: tuple[int, ...], gens: list[tuple[int, ...]], memo: dict) -> bool:
-    """Whether the exponent vector e is a sum of generators (memoised in memo)."""
-    if not any(e):
-        return True
-    if e in memo:
-        return memo[e]
-    memo[e] = False  # cycle guard; every generator strictly shrinks e
-    ok = any(
-        all(ge <= ee for ge, ee in zip(g, e))
-        and _can_factor(tuple(ee - ge for ge, ee in zip(g, e)), gens, memo)
-        for g in gens
-    )
-    memo[e] = ok
-    return ok
-
-
 def verify_veronese(a: Weight, d: int, p: int | None = None, cap: int | None = None) -> dict:
     """Every monomial of degree k*d up to the cap factors into the generators.
 
-    The check is purely combinatorial; p is accepted only so manifest lines
-    share one shape.  The cap (default `default_degree_bound`) bounds the
-    degrees scanned here; the generators themselves come from the finite
-    box of `veronese_generators` and need no bound.  Degree k*d takes one
-    step per monomial (the t^(k*d) coefficient of 1/prod(1 - t^{a_i})) and one
-    per prefix x_0..x_{n-2} its scan visits (the same with a_{n-1} = 1).
+    p is accepted only so manifest lines share one shape.  The cap (default
+    d*lcm(a)*n) bounds the degrees scanned.  Degree k*d takes one step per
+    monomial (the t^(k*d) coefficient of 1/prod(1 - t^{a_i})) and one per
+    suffix x_1..x_{n-1} its colex scan visits (the same with a_0 = 1).
+
+    With d_i = d/gcd(a_i, d), where the pure power d_i*u_i is a generator, e
+    factors if e - d_i*u_i does; so e factors if its residue r (e_i mod d_i
+    in those coordinates) does, and if r does not, r is itself a checked
+    failure: the verdict is an exact search's.  The table of residues holds
+    only box vectors, each decided from those below it when the scan meets it.
     """
     a = check_weight(a)
     gens = veronese_generators(a, d)
+    n = len(a)
     if cap is None:
-        cap = default_degree_bound(a, d)
-    monomials, prefixes = (sum(expand(HilbertSeries(UPolynomial(QQ, [1]), w), max(cap, 0))[d::d]) for w in (a, (*a[:-1], 1)))
-    check_work(monomials + prefixes, f"{monomials} monomials of degree divisible by {d} up to {cap}")
-    memo: dict[tuple[int, ...], bool] = {}
-    names = variable_names(len(a))
+        cap = d * lcm(*a) * n
+    monomials, suffixes = (sum(expand(HilbertSeries(UPolynomial(QQ, [1]), w), max(cap, 0))[d::d]) for w in (a, (1, *a[1:])))
+    check_work(monomials + suffixes, f"{monomials} monomials of degree divisible by {d} up to {cap}")
+    # e_i <= cap < cap + 1: a coordinate whose pure power is no generator stays whole
+    di = [d // gcd(x, d) for x in a]
+    mods = tuple(m if tuple(m if k == i else 0 for k in range(n)) in gens else cap + 1 for i, m in enumerate(di))
+    box_gens = [g for g in gens if all(x < m for x, m in zip(g, mods))]
+    factors = {(0,) * n: True}
+    names = variable_names(n)
     checked = 0
     failures = []
     for delta in range(d, cap + 1, d):
-        for e in graded_piece_basis(a, delta):
-            checked += 1
-            if not _can_factor(e, gens, memo):
+        piece = graded_piece_basis(a, delta)
+        checked += len(piece)
+        residues = zip(*(map(mod, column, repeat(m)) for column, m in zip(zip(*piece), mods)))
+        for e, r in zip(piece, residues):
+            ok = factors.get(r)
+            if ok is None:  # r == e, a box vector the scan meets only here
+                ok = factors[r] = any(all(x <= y for x, y in zip(g, r)) and factors[tuple(y - x for x, y in zip(g, r))] for g in box_gens)
+            if not ok:
                 failures.append(monomial_string(e, names))
     return {
         "weights": list(a),
@@ -322,6 +320,7 @@ def parse_manifest(text: str) -> list[dict]:
             if key == "weights":
                 job[key] = parse_weight(value)
             elif key in _INT_KEYS:
+                check_length(value, f"line {lineno}: {key}")
                 job[key] = int(value)
             else:
                 job[key] = value

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DIGIT_LIMIT, ParseError, TooLarge, UnknownVariable, check_work
+from .errors import ParseError, TooLarge, UnknownVariable, check_length, check_work
 from .exactmath import QQ
 from .weights import Weight
 from .wpoly import WPolynomial, power_steps, variable_names
@@ -45,8 +45,7 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            if j - i > DIGIT_LIMIT:  # refused before int() converts it
-                raise TooLarge(f"the integer at position {i} has more than {DIGIT_LIMIT} decimal digits")
+            check_length(text[i:j], f"the integer at position {i}")
             out.append(_Token("num", text[i:j], i))
             i = j
             continue
@@ -229,8 +228,7 @@ def parse_point_coords(text: str, field, expected: int) -> list:
     coords = []
     for part in parts:
         part = part.strip()
-        if len(part) > DIGIT_LIMIT:
-            raise TooLarge(f"a coordinate of point {text[:20]}... has more than {DIGIT_LIMIT} decimal digits")
+        check_length(part, f"a coordinate of point {text[:20]}...")
         try:
             coords.append(field.coerce(Fraction(part)))
         except Exception:

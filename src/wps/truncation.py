@@ -7,7 +7,7 @@ Grading convention: an element of degree d*i in R has degree i in R^(d).
 from __future__ import annotations
 
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .errors import BadCase, Mismatch, NotHomogeneous, check_work
 from .weights import Weight, WellFormStep, WellFormTrace, check_weight, well_form
@@ -27,39 +27,23 @@ TAG_REEXPRESSED = "re-expressed"
 TAG_POWER_RAISED = "power-raised"
 
 
-def _fill_piece(a: Weight, i: int, remaining: int, prefix: list[int], out: list[Monomial]) -> None:
-    """Append to out each extension of prefix (the exponents of x_0..x_{i-1})
-    by exponents of x_i, x_{i+1}, ... of weighted degree exactly `remaining`.
-    The last exponent is solved for, not scanned."""
-    if i == len(a) - 1:
-        if remaining % a[i] == 0:
-            out.append((*prefix, remaining // a[i]))
-        return
-    for e in range(remaining // a[i] + 1):
-        prefix.append(e)
-        _fill_piece(a, i + 1, remaining - a[i] * e, prefix, out)
-        prefix.pop()
-
-
 def graded_piece_basis(a, d: int) -> list[Monomial]:
-    """All exponent tuples of weighted degree exactly d, in colex order."""
+    """All exponent tuples of weighted degree exactly d, in colex order: the
+    exponents of x_{n-1}, ..., x_1 ascend from the last variable down, one
+    step per suffix x_1..x_{n-1} of degree <= d, and x_0 is solved for."""
     a = tuple(int(x) for x in a)
     if d < 0:
         raise ValueError("degree must be non-negative")
     if not a:
         return [()] if d == 0 else []
-    out: list[Monomial] = []
-    _fill_piece(a, 0, d, [], out)
-    return sorted(out, key=monomial_key)
-
-
-def default_degree_bound(a: Weight, d: int) -> int:
-    """Default top degree of the brute-force factorization check."""
-    return d * lcm(*a) * len(a)
-
-
-def _divides(g: Monomial, m: Monomial) -> bool:
-    return all(gi <= mi for gi, mi in zip(g, m))
+    a0, *rest = a
+    if not rest:
+        return [(d // a0,)] if d % a0 == 0 else []
+    a1, *rest = rest
+    suffixes = [(d, ())]  # (degree left, exponents of x_2..x_{n-1})
+    for w in reversed(rest):
+        suffixes = [(r - w * e, (e, *s)) for r, s in suffixes for e in range(r // w + 1)]
+    return [((r - a1 * e) // a0, e, *s) for r, s in suffixes for e in range(r // a1 + 1) if (r - a1 * e) % a0 == 0]
 
 
 def veronese_generators(a: Weight, d: int) -> list[Monomial]:
@@ -89,7 +73,7 @@ def veronese_generators(a: Weight, d: int) -> list[Monomial]:
     candidates.sort(key=lambda e: (monomial_degree(e, a), monomial_key(e)))
     gens: list[Monomial] = []
     for m in candidates:
-        if not any(_divides(g, m) for g in gens):
+        if not any(all(x <= y for x, y in zip(g, m)) for g in gens):
             gens.append(m)
     return gens
 

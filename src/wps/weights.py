@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from math import gcd, prod
 
-from .errors import BadCase, Mismatch, ParseError
+from .errors import BadCase, Mismatch, ParseError, check_length
 from .exactmath import prime_factors
 
 Weight = tuple[int, ...]
@@ -22,6 +22,8 @@ def check_weight(a) -> Weight:
 def parse_weight(text: str, min_len: int = 2) -> Weight:
     """Parse comma-separated positive integers, e.g. '12,20,30'."""
     parts = [p.strip() for p in text.split(",")]
+    for p in parts:
+        check_length(p, f"an entry of weight {text[:20]}...")
     try:
         a = tuple(int(p) for p in parts)
     except ValueError:

@@ -453,6 +453,11 @@ def test_expand_counts_the_words_of_large_coefficients(capsys, weights, n):
 )
 def test_integers_past_the_digit_limit_are_refused_alike(capsys, argv):
     # a stated cap of 4,000 digits, below CPython's int <-> str limit: the answer does not depend on that limit
+    refused_alike(capsys, argv)
+
+
+def refused_alike(capsys, argv):
+    """argv ends in E_TOO_LARGE for the digit cap, and alike with the interpreter's int <-> str limit off."""
     code, payload = run_json(capsys, *argv)
     assert code == 1 and payload["error"]["code"] == "E_TOO_LARGE", payload
     assert "more than 4000 decimal digits" in payload["error"]["message"]
@@ -463,6 +468,56 @@ def test_integers_past_the_digit_limit_are_refused_alike(capsys, argv):
             assert run_json(capsys, *argv) == (code, payload)
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+BIG = "6" * 4500
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["genus", "--weights", "1,2,3", "--degree", BIG],
+        ["genus", "--sweep", "--max-entry", BIG],
+        ["genus", "--sweep", "--max-degree", BIG],
+        ["wellform", "1,2," + BIG],
+        ["truncate", "--weights", "6,10," + BIG, "--d", "5"],
+        ["truncate", "--weights", "6,10,15", "--d", BIG],
+        ["hilbert", "expand", "--weights", "1,1", "-N", BIG],
+        ["hilbert", "numerator", "--weights", "1,1", "--genus", BIG, "--deg", "1"],
+        ["hilbert", "numerator", "--weights", "1,1", "--genus", "1", "--deg", BIG],
+        ["hilbert", "numerator", "--weights", "1,1", "--genus", "1", "--deg", "1", "-N", BIG],
+        ["hilbert", "numerator", "--weights", "1,1", "--genus", "1", "--deg", "1", "--override", "1=" + BIG],
+        ["hilbert", "table", "--genus", BIG],
+        ["hilbert", "table", "--deg", BIG],
+        ["hilbert", "table", "-N", BIG],
+        ["hilbert", "table", "--override", BIG + "=1"],
+        ["hilbert", "table", "--row", BIG + "=1,2"],
+        ["hilbert", "table", "--row", "1=1," + BIG],
+        ["eq", "--weights", "1,1", "--field", BIG, "1:0", "1:0"],
+    ],
+)
+def test_integer_arguments_past_the_digit_limit_are_refused_alike(capsys, argv):
+    # weights, every integer option and eq --field: refused before int() converts them
+    refused_alike(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "verify=veronese weights=1,1 p=" + BIG + " d=2",
+        "verify=veronese weights=1,1 p=5 d=" + BIG,
+        "verify=veronese weights=1,1 p=5 d=2 cap=" + BIG,
+        "verify=veronese weights=1," + BIG + " p=5 d=2",
+        "verify=curve_scan weights=1,1,1 p=5 poly=x^3+y^3+z^3 expect_points=" + BIG,
+        "verify=curve_scan weights=1,1,1 p=5 poly=x^3+y^3+z^3 expect_rational_points=" + BIG,
+        "verify=curve_scan weights=1,1,1 p=5 poly=x^3+y^3+z^3 expect_singular=" + BIG,
+    ],
+    ids=["p", "d", "cap", "weights", "expect_points", "expect_rational_points", "expect_singular"],
+)
+def test_manifest_integers_past_the_digit_limit_are_refused_alike(capsys, tmp_path, line):
+    manifest = tmp_path / "big.manifest"
+    manifest.write_text(line + "\n")
+    refused_alike(capsys, ["oracle", "run", "--manifest", str(manifest)])
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import wps.geometry
+import wps.oracle
 from wps.curves import PlaneCurve
 from wps.errors import PrimeUnsuitable, TooLarge
 from wps.exactmath import QQ, PrimeField
@@ -26,9 +27,9 @@ from wps.oracle import (
     verify_veronese,
 )
 from wps.parser import parse_polynomial
-from wps.truncation import graded_piece_basis
+from wps.truncation import graded_piece_basis, veronese_generators
 from wps.weights import is_well_formed
-from wps.wpoly import WPolynomial, evaluate, partial, reduce_mod
+from wps.wpoly import WPolynomial, evaluate, monomial_string, partial, reduce_mod, variable_names
 
 MANIFEST = Path(__file__).resolve().parent.parent / "manifests" / "default.manifest"
 
@@ -332,6 +333,67 @@ def test_veronese_capped():
     assert report["regraded"] == [2, 3, 6]
     assert report["checked"] == 26
     assert report["failures"] == []
+
+
+def _exact_factor(e, gens, memo):
+    """Whether e is a sum of generators, by memoised search: the reference for the residue check."""
+    if not any(e):
+        return True
+    if e not in memo:
+        memo[e] = False  # cycle guard; every generator strictly shrinks e
+        memo[e] = any(
+            all(x <= y for x, y in zip(g, e)) and _exact_factor(tuple(y - x for x, y in zip(g, e)), gens, memo)
+            for g in gens
+        )
+    return memo[e]
+
+
+def _exact_check(a, d, cap, gens):
+    """(checked, failures) of the factor check by exact search."""
+    names, memo = variable_names(len(a)), {}
+    monomials = [e for delta in range(d, cap + 1, d) for e in graded_piece_basis(a, delta)]
+    return len(monomials), [monomial_string(e, names) for e in monomials if not _exact_factor(e, gens, memo)]
+
+
+def _small_veronese_cases(seed, count):
+    """Random (a, d, cap) over 2 or 3 variables with at most 3,000 monomials to check."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        a = tuple(rng.randrange(1, 8) for _ in range(rng.randrange(2, 4)))
+        d = rng.randrange(1, 8)
+        cap = rng.randrange(0, 3 * d * max(a) + 1)
+        if sum(len(graded_piece_basis(a, k)) for k in range(d, cap + 1, d)) <= 3000:
+            cases.append((a, d, cap))
+    return cases
+
+
+def test_residue_check_matches_exact_search():
+    for a, d, cap in _small_veronese_cases(1309, 150):
+        report = verify_veronese(a, d, None, cap)
+        gens = veronese_generators(a, d)
+        assert (report["checked"], report["failures"]) == _exact_check(a, d, cap, gens) == (report["checked"], []), (a, d, cap)
+        assert report["generators"] == [monomial_string(g, variable_names(len(a))) for g in gens]
+
+
+def test_residue_check_with_a_generator_dropped(monkeypatch):
+    # without one generator the residue check may list more monomials than the
+    # exact search, never fewer, and fails exactly when the exact search does
+    tally = Counter()
+    for a, d, cap in _small_veronese_cases(1310, 60):
+        gens = veronese_generators(a, d)
+        for j, dropped in enumerate(gens):
+            kept = gens[:j] + gens[j + 1 :]
+            monkeypatch.setattr(wps.oracle, "veronese_generators", lambda a, d, kept=kept: kept)
+            report = verify_veronese(a, d, None, cap)
+            checked, failures = _exact_check(a, d, cap, kept)
+            assert report["checked"] == checked, (a, d, cap, dropped)
+            assert bool(report["failures"]) == bool(failures), (a, d, cap, dropped)
+            assert set(failures) <= set(report["failures"]), (a, d, cap, dropped)
+            pure = sum(map(bool, dropped)) == 1
+            tally["pure power failing" if pure and failures else "failing" if failures else "passing"] += 1
+            tally["more listed"] += len(report["failures"]) > len(failures)
+    assert min(tally.values()) >= 30, tally
 
 
 def test_recursive_scans_leave_no_reference_cycles():

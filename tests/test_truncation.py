@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import product
 from math import factorial, gcd, lcm, prod
 
 import pytest
@@ -11,7 +13,6 @@ from wps.truncation import (
     TAG_POWER_RAISED,
     TAG_REEXPRESSED,
     TAG_UNCHANGED,
-    default_degree_bound,
     graded_piece_basis,
     regrade,
     regraded_degrees,
@@ -19,7 +20,7 @@ from wps.truncation import (
     transform_principal_ideal,
     veronese_generators,
 )
-from wps.wpoly import monomial_degree, power_steps
+from wps.wpoly import monomial_degree, monomial_key, power_steps
 
 # === graded pieces ===
 
@@ -49,6 +50,20 @@ def test_graded_piece_basis_degrees_randomized():
         assert len(set(basis)) == len(basis)
         for e in basis:
             assert monomial_degree(e, a) == d
+
+
+def test_graded_piece_basis_is_complete_and_colex_randomized():
+    # the colex scan against a sort of the whole box, over 1 to 4 variables, weights with 1s, d = 0
+    rng = random.Random(1308)
+    shapes = Counter()
+    for _ in range(300):
+        n = rng.randrange(1, 5)
+        a = tuple(rng.choice((1, 1, 2, 3, 4, 5, 7)) for _ in range(n))
+        d = rng.choice((0, rng.randrange(1, 19)))
+        box = product(*(range(d // w + 1) for w in a))
+        assert graded_piece_basis(a, d) == sorted((e for e in box if monomial_degree(e, a) == d), key=monomial_key), (a, d)
+        shapes[n == 1, d == 0, 1 in a] += 1
+    assert len(shapes) == 8, shapes
 
 
 # === truncation generators ===
@@ -86,7 +101,7 @@ def test_veronese_generators_are_minimal():
 
 
 def test_veronese_bound_guards():
-    assert default_degree_bound((1, 1), 2) == 4
+    assert verify_veronese((1, 1), 2)["cap"] == 4  # default cap d * lcm(a) * n
     with pytest.raises(ValueError):
         veronese_generators((1, 1), 0)
 

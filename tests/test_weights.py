@@ -4,7 +4,7 @@ from math import gcd, prod
 import pytest
 
 import wps.weights
-from wps.errors import BadCase, Mismatch, ParseError
+from wps.errors import BadCase, Mismatch, ParseError, TooLarge
 from wps.weights import (
     WellFormStep,
     WellFormTrace,
@@ -26,6 +26,12 @@ def test_parse_weight():
 def test_parse_weight_rejects(bad):
     with pytest.raises(ParseError):
         parse_weight(bad)
+
+
+def test_parse_weight_caps_the_digits_of_an_entry():
+    assert parse_weight("1," + "6" * 4000)[1] == int("6" * 4000)
+    with pytest.raises(TooLarge, match="more than 4000 decimal digits"):
+        parse_weight("1," + "6" * 4001)
 
 
 def test_check_weight_rejects():
