@@ -10,9 +10,8 @@ int residues.  A manifest file drives batches of checks.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice, product, repeat
+from itertools import islice, product
 from math import gcd, lcm, prod
-from operator import mod
 
 from .curves import PlaneCurve
 from .errors import check_length, check_work
@@ -197,7 +196,7 @@ def verify_veronese(a: Weight, d: int, p: int | None = None, cap: int | None = N
         cap = d * lcm(*a) * n
     monomials, suffixes = (sum(expand(HilbertSeries(UPolynomial(QQ, [1]), w), max(cap, 0))[d::d]) for w in (a, (1, *a[1:])))
     check_work(monomials + suffixes, f"{monomials} monomials of degree divisible by {d} up to {cap}")
-    # e_i <= cap < cap + 1: a coordinate whose pure power is no generator stays whole
+    # reduce e_i mod d_i only where d_i*u_i is a generator; mod cap + 1 > e_i the others stay whole
     di = [d // gcd(x, d) for x in a]
     mods = tuple(m if tuple(m if k == i else 0 for k in range(n)) in gens else cap + 1 for i, m in enumerate(di))
     box_gens = [g for g in gens if all(x < m for x, m in zip(g, mods))]
@@ -206,13 +205,14 @@ def verify_veronese(a: Weight, d: int, p: int | None = None, cap: int | None = N
     checked = 0
     failures = []
     for delta in range(d, cap + 1, d):
-        piece = graded_piece_basis(a, delta)
-        checked += len(piece)
-        residues = zip(*(map(mod, column, repeat(m)) for column, m in zip(zip(*piece), mods)))
-        for e, r in zip(piece, residues):
+        for e in graded_piece_basis(a, delta):
+            checked += 1
+            r = tuple(x % m for x, m in zip(e, mods))
             ok = factors.get(r)
             if ok is None:  # r == e, a box vector the scan meets only here
-                ok = factors[r] = any(all(x <= y for x, y in zip(g, r)) and factors[tuple(y - x for x, y in zip(g, r))] for g in box_gens)
+                ok = factors[r] = any(
+                    all(x <= y for x, y in zip(g, r)) and factors[tuple(y - x for x, y in zip(g, r))] for g in box_gens
+                )
             if not ok:
                 failures.append(monomial_string(e, names))
     return {

@@ -36,14 +36,10 @@ def graded_piece_basis(a, d: int) -> list[Monomial]:
         raise ValueError("degree must be non-negative")
     if not a:
         return [()] if d == 0 else []
-    a0, *rest = a
-    if not rest:
-        return [(d // a0,)] if d % a0 == 0 else []
-    a1, *rest = rest
-    suffixes = [(d, ())]  # (degree left, exponents of x_2..x_{n-1})
-    for w in reversed(rest):
+    suffixes = [(d, ())]  # (degree left, exponents of x_i..x_{n-1})
+    for w in reversed(a[1:]):
         suffixes = [(r - w * e, (e, *s)) for r, s in suffixes for e in range(r // w + 1)]
-    return [((r - a1 * e) // a0, e, *s) for r, s in suffixes for e in range(r // a1 + 1) if (r - a1 * e) % a0 == 0]
+    return [(r // a[0], *s) for r, s in suffixes if r % a[0] == 0]
 
 
 def veronese_generators(a: Weight, d: int) -> list[Monomial]:
