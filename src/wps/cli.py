@@ -317,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="structured output")
 
-    def leaf(subs, name: str, func, help: str, command: str | None = None):
+    def leaf(subs, name: str, func, help: str):
         p = subs.add_parser(name, parents=[common], help=help)
-        p.set_defaults(func=func, cmdname=command or name)
+        p.set_defaults(func=func)
         return p
 
     parser = argparse.ArgumentParser(
@@ -360,19 +360,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hilbert", help="Hilbert series tools")
     hsub = p.add_subparsers(dest="hilbert_command", required=True)
 
-    q = leaf(hsub, "expand", cmd_hilbert_expand, "series coefficients", "hilbert expand")
+    q = leaf(hsub, "expand", cmd_hilbert_expand, "series coefficients")
     q.add_argument("--weights", type=_weight_arg, required=True)
     q.add_argument("--numerator", default="1")
     q.add_argument("-N", dest="n", type=_int_arg, required=True, help="last degree")
 
-    q = leaf(hsub, "numerator", cmd_hilbert_numerator, "recover N(t) from ell values", "hilbert numerator")
+    q = leaf(hsub, "numerator", cmd_hilbert_numerator, "recover N(t) from ell values")
     q.add_argument("--weights", type=_weight_arg, required=True)
     q.add_argument("--genus", type=_int_arg, required=True)
     q.add_argument("--deg", type=_int_arg, required=True, help="divisor degree")
     q.add_argument("--override", type=_override_arg, action="append", metavar="n=v")
     q.add_argument("-N", dest="n", type=_int_arg, help="max numerator degree")
 
-    q = leaf(hsub, "table", cmd_hilbert_table, "per-embedding numerators", "hilbert table")
+    q = leaf(hsub, "table", cmd_hilbert_table, "per-embedding numerators")
     q.add_argument("--genus", type=_int_arg, default=1)
     q.add_argument("--deg", type=_int_arg, default=1)
     q.add_argument("--override", type=_override_arg, action="append", metavar="n=v")
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="finite-field verification")
     osub = p.add_subparsers(dest="oracle_command", required=True)
-    q = leaf(osub, "run", cmd_oracle_run, "run a manifest of checks", "oracle run")
+    q = leaf(osub, "run", cmd_oracle_run, "run a manifest of checks")
     q.add_argument("--manifest", required=True)
 
     return parser
@@ -395,9 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    command = " ".join(argv[: 2 if argv[:1] in (["hilbert"], ["oracle"]) else 1])
     parser = build_parser()
-    # parsing overwrites both, unless an argument's type refuses an over-long integer first
-    args = argparse.Namespace(json="--json" in argv, cmdname=" ".join(argv[: 2 if argv[:1] in (["hilbert"], ["oracle"]) else 1]))
+    # parsing overwrites json, unless an argument's type refuses an over-long integer first
+    args = argparse.Namespace(json="--json" in argv)
     try:
         parser.parse_args(argv, args)
         ok, lines, data = args.func(args, parser)
@@ -405,12 +406,12 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc, WPSError) else "E_VALUE" if isinstance(exc, ValueError) else "E_IO"
         if args.json or os.environ.get("WPS_JSON") == "1":
             error = {"code": code, "message": str(exc)}
-            print(json.dumps({"command": args.cmdname, "ok": False, "error": error}))
+            print(json.dumps({"command": command, "ok": False, "error": error}))
         else:
             print(f"error[{code}]: {exc}", file=sys.stderr)
         return 1
     if args.json or os.environ.get("WPS_JSON") == "1":
-        print(json.dumps({"command": args.cmdname, "ok": ok, "data": data}))
+        print(json.dumps({"command": command, "ok": ok, "data": data}))
     else:
         for line in lines:
             print(line)
