@@ -20,6 +20,7 @@ from .geometry import WPoint, _geometric_key, _group_elements, _orbit_stabilizer
 from .hilbert import HilbertSeries, expand
 from .parser import parse_polynomial
 from .truncation import (
+    _divides,
     graded_piece_basis,
     regraded_degrees,
     veronese_generators,
@@ -210,9 +211,7 @@ def verify_veronese(a: Weight, d: int, p: int | None = None, cap: int | None = N
             r = tuple(x % m for x, m in zip(e, mods))
             ok = factors.get(r)
             if ok is None:  # r == e, a box vector the scan meets only here
-                ok = factors[r] = any(
-                    all(x <= y for x, y in zip(g, r)) and factors[tuple(y - x for x, y in zip(g, r))] for g in box_gens
-                )
+                ok = factors[r] = any(_divides(g, r) and factors[tuple(y - x for x, y in zip(g, r))] for g in box_gens)
             if not ok:
                 failures.append(monomial_string(e, names))
     return {

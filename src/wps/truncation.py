@@ -42,6 +42,10 @@ def graded_piece_basis(a, d: int) -> list[Monomial]:
     return [(r // a[0], *s) for r, s in suffixes if r % a[0] == 0]
 
 
+def _divides(g: Monomial, m: Monomial) -> bool:
+    return all(gi <= mi for gi, mi in zip(g, m))
+
+
 def veronese_generators(a: Weight, d: int) -> list[Monomial]:
     """Minimal generating monomials of {e : weighted degree divisible by d}.
 
@@ -69,7 +73,7 @@ def veronese_generators(a: Weight, d: int) -> list[Monomial]:
     candidates.sort(key=lambda e: (monomial_degree(e, a), monomial_key(e)))
     gens: list[Monomial] = []
     for m in candidates:
-        if not any(all(x <= y for x, y in zip(g, m)) for g in gens):
+        if not any(_divides(g, m) for g in gens):
             gens.append(m)
     return gens
 
