@@ -105,7 +105,6 @@ from .hilbert import (
     numerator_from_sequence,
 )
 from .oracle import (
-    enumerate_wps_points,
     run_manifest,
     scan_curve_points,
     verify_orbit_stabilizer,

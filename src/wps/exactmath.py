@@ -309,13 +309,36 @@ class FpElem:
         return str(self.value)
 
 
-def field_of(x) -> RationalField | PrimeField:
-    """The field an element belongs to."""
-    if isinstance(x, FpElem):
-        return PrimeField(x.p)
-    if isinstance(x, (int, Fraction)):
-        return QQ
-    raise TypeError(f"not a supported field element: {x!r}")
+def _power(one, base, n: int):
+    """base**n by square-and-multiply from the identity `one`: a product per
+    set bit of n and a square per bit below the top one."""
+    if n < 0:
+        raise ValueError("negative polynomial power")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
+def _terms_string(field, terms: list) -> str:
+    """Text of a sum of (coefficient, monomial) terms in the given order,
+    e.g. '1 - t^6': the monomial '1' prints as its coefficient, a unit
+    coefficient is left out, and a negative rational one turns the sign
+    before its term.  Rational coefficients pass check_digits before any
+    is written in decimal."""
+    check_digits((c for c, _ in terms) if field == QQ else (), "a coefficient of the polynomial")
+    parts: list[str] = []
+    for c, mono in terms:
+        neg = isinstance(c, Fraction) and c < 0
+        mag = -c if neg else c
+        body = str(mag) if mono == "1" else mono if mag == field.one else f"{mag}*{mono}"
+        sign = ("- " if neg else "+ ") if parts else ("-" if neg else "")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
 
 
 class UPolynomial:
@@ -393,16 +416,7 @@ class UPolynomial:
         return UPolynomial(self.field, [c * a for a in self.coeffs])
 
     def __pow__(self, n: int) -> "UPolynomial":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = UPolynomial(self.field, [1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(UPolynomial(self.field, [1]), self, n)
 
     def __divmod__(self, other: "UPolynomial"):
         self._check_field(other)
@@ -450,28 +464,11 @@ class UPolynomial:
     def __hash__(self) -> int:
         return hash((self.field, tuple(self.coeffs)))
 
-    def to_string(self, var: str = "t") -> str:
-        """Human form in ascending powers, e.g. '1 - t^6'."""
-        if self.is_zero():
-            return "0"
-        check_digits(self.coeffs if self.field == QQ else (), "a coefficient of the polynomial")
-        parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if c == self.field.zero:
-                continue
-            neg = isinstance(c, Fraction) and c < 0
-            mag = -c if neg else c
-            if i == 0:
-                body = str(mag)
-            elif mag == self.field.one:
-                body = var if i == 1 else f"{var}^{i}"
-            else:
-                body = f"{mag}*{var}" if i == 1 else f"{mag}*{var}^{i}"
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts)
+    def to_string(self) -> str:
+        """Human form in ascending powers of t, e.g. '1 - t^6'."""
+        z = self.field.zero
+        terms = [(c, "1" if i == 0 else "t" if i == 1 else f"t^{i}") for i, c in enumerate(self.coeffs) if c != z]
+        return _terms_string(self.field, terms)
 
     def __repr__(self) -> str:
         return f"UPolynomial({self.to_string()})"
@@ -486,14 +483,11 @@ def upoly_gcd(a: UPolynomial, b: UPolynomial) -> UPolynomial:
     return a.monic()
 
 
-def distinct_root_count(g: UPolynomial, exclude_zero: bool = False) -> int:
+def distinct_root_count(g: UPolynomial) -> int:
     """Number of distinct roots of g in the algebraic closure."""
     if g.is_zero():
         raise ZeroPolynomial("root count of the zero polynomial")
-    count = _distinct_roots(g)
-    if exclude_zero and g.constant() == g.field.zero:
-        count -= 1
-    return count
+    return _distinct_roots(g)
 
 
 def _distinct_roots(g: UPolynomial) -> int:

@@ -41,7 +41,7 @@ class HilbertSeries:
         return expand(self, n)
 
     def to_string(self) -> str:
-        num = self.numerator.to_string("t")
+        num = self.numerator.to_string()
         if " " in num:
             num = f"({num})"
         den = "".join(
@@ -104,10 +104,6 @@ class EllSequence:
             raise ValueError(f"overrides {bad} fall outside the ambiguous range n = 1..{self.ambiguous_count}")
         if any(v < 1 for v in self.low_overrides.values()):
             raise ValueError("ell values are positive")
-
-    def ambiguous_range(self) -> list[int]:
-        """The n with 0 < n*deg <= 2g-2."""
-        return list(range(1, self.ambiguous_count + 1))
 
     def value(self, n: int) -> int:
         if n < 0:

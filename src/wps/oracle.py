@@ -16,7 +16,7 @@ from math import gcd, lcm, prod
 from .curves import PlaneCurve
 from .errors import check_length, check_work
 from .exactmath import QQ, PrimeField, UPolynomial
-from .geometry import WPoint, _geometric_key, _group_elements, _orbit_stabilizer, fp_orbit_min
+from .geometry import _geometric_key, _group_elements, _orbit_stabilizer
 from .hilbert import HilbertSeries, expand
 from .parser import parse_polynomial
 from .truncation import (
@@ -28,28 +28,10 @@ from .truncation import (
 from .weights import Weight, check_weight, parse_weight
 from .wpoly import monomial_string, partial, reduce_mod, variable_names
 
-def _all_vectors(a: Weight, p: int):
-    """Nonzero coordinate vectors of F_p^n, lexicographic."""
-    return (vec for vec in product(range(p), repeat=len(a)) if any(vec))
-
-
 def _straight_points(n: int, p: int) -> list[tuple[int, ...]]:
     """The points of P^{n-1}(F_p), first nonzero coordinate 1, sorted: the
     orbit minima of the straight weights in closed form."""
     return [(0,) * k + (1,) + rest for k in range(n - 1, -1, -1) for rest in product(range(p), repeat=n - 1 - k)]
-
-
-def enumerate_wps_points(a: Weight, p: int) -> list[WPoint]:
-    """One canonical representative per scaling orbit, sorted.
-
-    A vector is kept iff it is the minimum of its orbit (the `normalize`
-    representative); the scan is lexicographic, so the output is sorted.
-    `fp_orbit_min` tries up to p - 1 scalings per vector.
-    """
-    a = check_weight(a)
-    check_work((p ** len(a) - 1) * (p - 1), f"{p}^{len(a)} - 1 vectors times {p - 1} scalings")
-    field = PrimeField(p)
-    return [WPoint(a, vec, field) for vec in _all_vectors(a, p) if fp_orbit_min(a, vec, p) == vec]
 
 
 class ClosureEquality:
@@ -109,28 +91,26 @@ class ClosureEquality:
             least.append(c % g)
         return support, tuple(least)
 
-    def equal(self, x: tuple[int, ...], y: tuple[int, ...]) -> bool:
-        return self.key(x) == self.key(y)
-
 
 def _pairs(sizes) -> int:
     """Unordered pairs with repeats inside classes of the given sizes."""
     return sum(k * (k + 1) // 2 for k in sizes)
 
 
-def verify_point_equality(a: Weight, p: int, max_recorded: int = 20) -> dict:
+def verify_point_equality(a: Weight, p: int) -> dict:
     """Compare the key eq_geometric compares with the closure key on every vector pair.
 
     A pair mismatches when exactly one key agrees, so with pair(c) = sum
     c(c+1)/2 over a grouping the count is pair(geometric) + pair(closure) -
-    2 pair(both), O(N) for N vectors.  The recorded rows are the first
-    mismatching pairs in order; both vectors of one lie in classes that differ.
+    2 pair(both), O(N) for N vectors.  The recorded rows are the first 20
+    mismatching pairs, vectors in lexicographic order; both vectors of one
+    lie in classes that differ.
     Each vector takes a closure-key step and a fold step per coordinate.
     """
     a = check_weight(a)
     n = len(a)
     check_work((n + 1) * (p**n - 1), f"{n + 1} steps for each of {p}^{n} - 1 vectors")
-    vectors = list(_all_vectors(a, p))
+    vectors = [vec for vec in product(range(p), repeat=n) if any(vec)]
     oracle = ClosureEquality(a, p)
     folds: dict = {}  # support -> fold chain, at most 2^n - 1 entries, as ClosureEquality keeps its own
     geo = [_geometric_key(a, vec, p, folds) for vec in vectors]
@@ -141,7 +121,7 @@ def verify_point_equality(a: Weight, p: int, max_recorded: int = 20) -> dict:
     rows = ((i, j) for i in mixed for j in mixed if j > i and (geo[i] == geo[j]) != (clo[i] == clo[j]))
     mismatches = [
         dict(x=list(vectors[i]), y=list(vectors[j]), geometric=geo[i] == geo[j], closure=clo[i] == clo[j])
-        for i, j in islice(rows, max_recorded)
+        for i, j in islice(rows, 20)
     ]
     return {
         "weights": list(a),

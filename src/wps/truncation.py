@@ -32,6 +32,8 @@ def graded_piece_basis(a, d: int) -> list[Monomial]:
     exponents of x_{n-1}, ..., x_1 ascend from the last variable down, one
     step per suffix x_1..x_{n-1} of degree <= d, and x_0 is solved for."""
     a = tuple(int(x) for x in a)
+    if a and min(a) < 1:
+        raise ValueError(f"weight entries must be positive, got {a}")
     if d < 0:
         raise ValueError("degree must be non-negative")
     if not a:

@@ -8,11 +8,10 @@ usual display order of graded monomial bases.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
-from .errors import FieldMismatch, NotHomogeneous, ZeroPolynomial, check_digits
-from .exactmath import QQ, PrimeField, UPolynomial, height
+from .errors import FieldMismatch, NotHomogeneous, ZeroPolynomial
+from .exactmath import QQ, PrimeField, UPolynomial, _power, _terms_string, height
 from .weights import Weight
 
 Monomial = tuple[int, ...]
@@ -141,17 +140,7 @@ class WPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "WPolynomial":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = WPolynomial(self.weight, self.field, {(0,) * self.nvars(): 1})
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(WPolynomial(self.weight, self.field, {(0,) * self.nvars(): 1}), self, n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -166,26 +155,8 @@ class WPolynomial:
 
     def to_string(self) -> str:
         """Reparseable text form, terms in canonical order."""
-        if self.is_zero():
-            return "0"
-        check_digits(self.terms.values() if self.field == QQ else (), "a coefficient of the polynomial")
         names = variable_names(self.nvars())
-        parts: list[str] = []
-        for e, c in self.sorted_terms():
-            mono = monomial_string(e, names)
-            neg = isinstance(c, Fraction) and c < 0
-            mag = -c if neg else c
-            if mono == "1":
-                body = str(mag)
-            elif mag == self.field.one:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts)
+        return _terms_string(self.field, [(c, monomial_string(e, names)) for e, c in self.sorted_terms()])
 
     def __repr__(self) -> str:
         return f"WPolynomial({self.to_string()!r}, weight={self.weight})"

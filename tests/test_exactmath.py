@@ -11,7 +11,6 @@ from wps.exactmath import (
     PrimeField,
     UPolynomial,
     distinct_root_count,
-    field_of,
     fp_roots,
     is_prime,
     prime_factors,
@@ -162,12 +161,6 @@ def test_primitive_root_generates():
         assert len(powers) == p - 1, f"{g} does not generate F_{p}^*"
 
 
-def test_field_of():
-    assert field_of(Fraction(1, 2)) == QQ
-    assert field_of(3) == QQ
-    assert field_of(FpElem(2, 7)) == PrimeField(7)
-
-
 # === univariate polynomials ===
 
 
@@ -226,11 +219,11 @@ def test_upoly_random_ring_identities():
 
 
 def test_upoly_to_string():
-    assert _upoly(QQ, 1, 0, 0, 0, 0, 0, -1).to_string("t") == "1 - t^6"
-    assert _upoly(QQ, 0, 1).to_string("t") == "t"
-    assert _upoly(QQ, 1, -1, 0, 0, 1).to_string("t") == "1 - t + t^4"
-    assert UPolynomial.zero(QQ).to_string("t") == "0"
-    assert _upoly(QQ, Fraction(1, 2)).to_string("t") == "1/2"
+    assert _upoly(QQ, 1, 0, 0, 0, 0, 0, -1).to_string() == "1 - t^6"
+    assert _upoly(QQ, 0, 1).to_string() == "t"
+    assert _upoly(QQ, 1, -1, 0, 0, 1).to_string() == "1 - t + t^4"
+    assert UPolynomial.zero(QQ).to_string() == "0"
+    assert _upoly(QQ, Fraction(1, 2)).to_string() == "1/2"
 
 
 # === gcd and squarefree root counting ===
@@ -264,7 +257,13 @@ def test_gcd_detects_repeated_factor():
 def test_distinct_root_count(coeffs, count, count_no_zero):
     f = _upoly(QQ, *coeffs)
     assert distinct_root_count(f) == count
-    assert distinct_root_count(f, exclude_zero=True) == count_no_zero
+    assert distinct_root_count(_without_root_at_zero(f)) == count_no_zero
+
+
+def _without_root_at_zero(f):
+    """f / t^k for the highest power t^k that divides f."""
+    k = next(i for i, c in enumerate(f.coeffs) if c != f.field.zero)
+    return UPolynomial(f.field, f.coeffs[k:])
 
 
 def test_distinct_root_count_random_products():
@@ -277,7 +276,7 @@ def test_distinct_root_count_random_products():
             f = f * _upoly(QQ, -r, 1) ** mult
         assert distinct_root_count(f) == len(roots)
         expect = len([r for r in roots if r != 0])
-        assert distinct_root_count(f, exclude_zero=True) == expect
+        assert distinct_root_count(_without_root_at_zero(f)) == expect
 
 
 def test_distinct_root_count_sees_p_fold_roots():
@@ -285,7 +284,7 @@ def test_distinct_root_count_sees_p_fold_roots():
     f3 = PrimeField(3)
     assert distinct_root_count(_upoly(f3, -1, 1) ** 3 * _upoly(f3, -2, 1)) == 2
     assert distinct_root_count(_upoly(f3, 0, 1) ** 9 * _upoly(f3, 1, 0, 1) ** 3) == 3  # t^9 (t^2+1)^3
-    assert distinct_root_count(_upoly(f3, 0, 1) ** 9 * _upoly(f3, 1, 0, 1) ** 3, exclude_zero=True) == 2
+    assert distinct_root_count(_upoly(f3, 1, 0, 1) ** 3) == 2
 
 
 def test_distinct_root_count_over_fp_random_multiplicities():

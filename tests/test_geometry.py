@@ -375,7 +375,7 @@ def test_geometric_key_classes_are_closure_classes(a, p):
     for x in sample:
         for y in sample:
             same_key = _geometric_key(a, x.values, p) == _geometric_key(a, y.values, p)
-            assert same_key == eq_geometric(x, y) == closure.equal(x.values, y.values), (x, y)
+            assert same_key == eq_geometric(x, y) == (closure.key(x.values) == closure.key(y.values)), (x, y)
 
 
 # === affine patches ===

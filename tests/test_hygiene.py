@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,24 @@ def test_one_work_budget(path):
     text = path.read_text()
     for name in ("lru_cache", "_MAX_VECTORS", "_MAX_BOX", "_check_scan"):
         assert name not in text, f"{path.name} uses {name}"
+
+
+def _referenced(tree) -> Counter:
+    """How often each name is used by a Name or Attribute node under `tree`."""
+    nodes = (node for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr for node in nodes)
+
+
+def test_every_function_is_called_or_exported():
+    # a module-level function that nothing in src/wps names outside its own
+    # definition, and that wps does not export, is dead code
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    exported = set(_imported_names(trees.pop("__init__.py")))
+    uses = sum(map(_referenced, trees.values()), Counter())
+    dead = sorted(
+        f"{name}: {fn.name}"
+        for name, tree in trees.items()
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name not in exported and uses[fn.name] == _referenced(fn)[fn.name]
+    )
+    assert not dead, f"functions nothing calls: {dead}"

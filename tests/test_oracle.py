@@ -17,7 +17,6 @@ from wps.geometry import WPoint, eq_geometric, eq_rational, normalize
 from wps.oracle import (
     ClosureEquality,
     _straight_points,
-    enumerate_wps_points,
     parse_manifest,
     run_job,
     run_manifest,
@@ -50,13 +49,25 @@ MANIFEST = Path(__file__).resolve().parent.parent / "manifests" / "default.manif
     ],
 )
 def test_point_counts(a, p, count):
-    assert len(enumerate_wps_points(a, p)) == count
+    # the F_p^*-orbits of the nonzero vectors: for (1, 1) the points of P^1 in
+    # closed form, over three weights the orbit total of a curve scan (of x = 0)
+    if len(a) == 2:
+        assert len(_straight_points(2, p)) == count
+    else:
+        assert scan_curve_points(PlaneCurve(parse_polynomial("x", a)), p)["total_points"] == count
+
+
+def _normalized_points(a, p):
+    """The `normalize` representative of every nonzero vector, distinct and sorted."""
+    field = PrimeField(p)
+    reps = {normalize(WPoint(a, v, field))[0] for v in product(range(p), repeat=len(a)) if any(v)}
+    return sorted(reps, key=lambda x: x.values)
 
 
 def test_enumeration_is_canonical_and_distinct():
     # orbits are rational-scaling orbits; the closure test may merge cone
     # points (|0:0:1| and |0:0:2| here), so distinctness is eq_rational
-    points = enumerate_wps_points((1, 1, 2), 3)
+    points = _normalized_points((1, 1, 2), 3)
     for x in points:
         rep, _ = normalize(x)
         assert rep == x
@@ -70,17 +81,17 @@ def test_enumeration_is_canonical_and_distinct():
         if eq_geometric(x, y)
     ]
     assert [(repr(x), repr(y)) for x, y in merged] == [("|0:0:1|", "|0:0:2|")]
-    assert points == enumerate_wps_points((1, 1, 2), 3)
+    assert points == _ref_enumerate((1, 1, 2), 3)
 
 
 def test_enumeration_scan_limit():
-    with pytest.raises(TooLarge, match="101\\^3 - 1 vectors times 100 scalings exceeds the work limit"):
-        enumerate_wps_points((1, 1, 2), 101)
+    with pytest.raises(TooLarge, match="4 steps for each of 101\\^3 - 1 vectors exceeds the work limit"):
+        verify_point_equality((1, 1, 2), 101)
     # 100003 is prime; the limit must fire on the call, before any
     # per-prime work or a first vector
     start = time.perf_counter()
-    with pytest.raises(TooLarge, match="100003\\^2 - 1 vectors times 100002 scalings exceeds the work limit"):
-        enumerate_wps_points((1, 1), 100003)
+    with pytest.raises(TooLarge, match="3 steps for each of 100003\\^2 - 1 vectors exceeds the work limit"):
+        verify_point_equality((1, 1), 100003)
     with pytest.raises(TooLarge):
         verify_orbit_stabilizer((1, 1), 100003)
     assert time.perf_counter() - start < 1.0
@@ -101,7 +112,6 @@ def test_point_equality_scan_limit_comes_first():
         lambda: verify_point_equality((1, 2, 3), 61),
         lambda: scan_curve_points(PlaneCurve(parse_polynomial("x^3+y^3+z^3", (1, 1, 1))), 503),
         lambda: verify_orbit_stabilizer((6, 6, 6), 67),
-        lambda: enumerate_wps_points((1, 1), 499),
         lambda: verify_veronese((7, 11, 13), 17, 5),
         lambda: verify_veronese((1, 1, 1), 2, 5, 400),
     ],
@@ -130,12 +140,12 @@ def test_veronese_budget_counts_monomials_and_scan_prefixes():
 
 
 def test_closure_equality_direct():
-    eq = ClosureEquality((1, 1, 2), 5)
-    assert eq.equal((0, 0, 1), (0, 0, 2)), "2 is a square in the closure"
-    assert eq.equal((1, 0, 0), (2, 0, 0))
-    assert eq.equal((1, 1, 1), (2, 2, 4))
-    assert not eq.equal((1, 1, 1), (1, 1, 2))
-    assert not eq.equal((1, 0, 1), (1, 1, 1)), "supports differ"
+    key = ClosureEquality((1, 1, 2), 5).key
+    assert key((0, 0, 1)) == key((0, 0, 2)), "2 is a square in the closure"
+    assert key((1, 0, 0)) == key((2, 0, 0))
+    assert key((1, 1, 1)) == key((2, 2, 4))
+    assert key((1, 1, 1)) != key((1, 1, 2))
+    assert key((1, 0, 1)) != key((1, 1, 1)), "supports differ"
 
 
 # FpElem reference copies of the per-pair closure scan and the orbit
@@ -218,7 +228,7 @@ def test_enumeration_matches_orbit_minima():
         for _ in range(12)
     ]
     for a, p in cases:
-        assert enumerate_wps_points(a, p) == _ref_enumerate(a, p), (a, p)
+        assert _normalized_points(a, p) == _ref_enumerate(a, p), (a, p)
 
 
 @pytest.mark.parametrize(
@@ -233,13 +243,13 @@ def test_closure_classes_count_projective_points(a, p):
 
 
 def test_closure_equality_is_equivalence():
-    eq = ClosureEquality((1, 2), 5)
-    vectors = [(x, y) for x in range(5) for y in range(5) if (x, y) != (0, 0)]
+    # equal keys are an equivalence by construction; its classes hold the F_p^*-orbits
+    a, p = (1, 2), 5
+    key = ClosureEquality(a, p).key
+    vectors = [(x, y) for x in range(p) for y in range(p) if (x, y) != (0, 0)]
     for v in vectors:
-        assert eq.equal(v, v)
-    for u in vectors:
-        for v in vectors:
-            assert eq.equal(u, v) == eq.equal(v, u)
+        for lam in range(1, p):
+            assert key(tuple(pow(lam, ai, p) * x % p for ai, x in zip(a, v))) == key(v), (v, lam)
 
 
 # === the three verifiers ===
@@ -252,7 +262,7 @@ def test_point_equality_matches_closure(a, p):
     assert report["mismatches"] == []
 
 
-def _ref_point_equality(a, p, max_recorded=20):
+def _ref_point_equality(a, p):
     # the N^2 pair loop that class counting replaced
     field = PrimeField(p)
     oracle = ClosureEquality(a, p)
@@ -262,10 +272,10 @@ def _ref_point_equality(a, p, max_recorded=20):
     for i in range(len(vectors)):
         for j in range(i, len(vectors)):
             geo = eq_geometric(points[i], points[j])
-            truth = oracle.equal(vectors[i], vectors[j])
+            truth = oracle.key(vectors[i]) == oracle.key(vectors[j])
             if geo != truth:
                 count += 1
-                if len(rows) < max_recorded:
+                if len(rows) < 20:
                     rows.append(dict(x=list(vectors[i]), y=list(vectors[j]), geometric=geo, closure=truth))
     n = len(vectors)
     return {"weights": list(a), "p": p, "pairs": n * (n + 1) // 2, "mismatch_count": count, "mismatches": rows}
@@ -291,7 +301,7 @@ def test_point_equality_matches_pair_loop(a, p, monkeypatch):
     field = PrimeField(p)
     for row in report["mismatches"]:
         x, y = WPoint(a, row["x"], field), WPoint(a, row["y"], field)
-        assert row["geometric"] == eq_geometric(x, y) != oracle.equal(tuple(row["x"]), tuple(row["y"]))
+        assert row["geometric"] == eq_geometric(x, y) != (oracle.key(tuple(row["x"])) == oracle.key(tuple(row["y"])))
 
 
 def test_point_equality_pair_count():
@@ -311,7 +321,7 @@ def test_orbit_stabilizer_product(a, p, points):
 
 @pytest.mark.parametrize("n, p", [(2, 2), (2, 7), (3, 3), (3, 5), (4, 3)])
 def test_straight_points_are_orbit_minima(n, p):
-    assert _straight_points(n, p) == [x.values for x in enumerate_wps_points((1,) * n, p)]
+    assert _straight_points(n, p) == [x.values for x in _ref_enumerate((1,) * n, p)]
 
 
 def test_orbit_stabilizer_needs_suitable_prime():

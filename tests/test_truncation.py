@@ -30,6 +30,8 @@ def test_graded_piece_basis_frozen():
     assert graded_piece_basis((1, 1), 3) == [(3, 0), (2, 1), (1, 2), (0, 3)]
     assert graded_piece_basis((2, 3), 1) == []
     assert graded_piece_basis((1, 1), 0) == [(0, 0)]
+    assert graded_piece_basis((), 0) == [()], "generator_discovery starts from no generators"
+    assert graded_piece_basis((), 3) == []
 
 
 def test_graded_piece_basis_counts():
@@ -38,6 +40,12 @@ def test_graded_piece_basis_counts():
         assert len(graded_piece_basis((1, 1), d)) == d + 1
     with pytest.raises(ValueError):
         graded_piece_basis((1, 1), -1)
+
+
+@pytest.mark.parametrize("a", [(1, 0), (-1, 2), (0,), (3, -2, 1)])
+def test_graded_piece_basis_refuses_weights_below_one(a):
+    with pytest.raises(ValueError, match="weight entries must be positive"):
+        graded_piece_basis(a, 2)
 
 
 def test_graded_piece_basis_degrees_randomized():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wps.errors import FieldMismatch, NotHomogeneous, ZeroPolynomial
-from wps.exactmath import FpElem, PrimeField, QQ
+from wps.exactmath import FpElem, PrimeField, QQ, UPolynomial
 from wps.parser import parse_polynomial
 from wps.wpoly import (
     WPolynomial,
@@ -49,6 +49,29 @@ def test_term_order_in_to_string():
     assert f.to_string() == "x^4 + y^4 + x*y*z^2 + z^4"
     g = parse_polynomial("z^2 + x^6 + y^3 + x^2*y^2 + x^4*y + x^3*z + x*y*z", (1, 2, 3))
     assert g.to_string() == "x^6 + x^4*y + x^2*y^2 + y^3 + x^3*z + x*y*z + z^2"
+
+
+@pytest.mark.parametrize(
+    "x",
+    [UPolynomial(QQ, [1, 2]), WPolynomial((1, 2), PrimeField(7), {(2, 0): 3, (0, 1): 1})],
+    ids=["UPolynomial", "WPolynomial"],
+)
+def test_power_squares_no_further_than_the_top_bit(x, monkeypatch):
+    # square-and-multiply: a product per set bit of n, a square per bit below the top one
+    expected = {}
+    for n in (1, 8, 13):
+        y = x
+        for _ in range(n - 1):
+            y = y * x
+        expected[n] = y
+    mul, calls = type(x).__mul__, []
+    monkeypatch.setattr(type(x), "__mul__", lambda self, other: calls.append(1) or mul(self, other))
+    for n, products in [(1, 1), (8, 4), (13, 6)]:
+        calls.clear()
+        assert x**n == expected[n], n
+        assert len(calls) == products, n
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        x ** -1
 
 
 def test_mixed_weight_or_field_rejected():
@@ -194,17 +217,17 @@ def test_restrict_to_edge_quartic_cover():
     f = parse_polynomial("x^4 + y^4 + z^2 + x*y*z", (1, 1, 2))
     cover = power_substitute(f)
     # edge 0: x = 0, y = 1, z = lambda
-    assert restrict_to_edge(cover, 0).to_string("t") == "1 + t^4"
-    assert restrict_to_edge(cover, 1).to_string("t") == "1 + t^4"
-    assert restrict_to_edge(cover, 2).to_string("t") == "1 + t^4"
+    assert restrict_to_edge(cover, 0).to_string() == "1 + t^4"
+    assert restrict_to_edge(cover, 1).to_string() == "1 + t^4"
+    assert restrict_to_edge(cover, 2).to_string() == "1 + t^4"
 
 
 def test_restrict_to_edge_c7():
     f = parse_polynomial("x^7 + y^2*z + x*z^2", (1, 2, 3))
     cover = power_substitute(f)
-    assert restrict_to_edge(cover, 0).to_string("t") == "t^3"
-    assert restrict_to_edge(cover, 1).to_string("t") == "t + t^7"
-    assert restrict_to_edge(cover, 2).to_string("t") == "1"
+    assert restrict_to_edge(cover, 0).to_string() == "t^3"
+    assert restrict_to_edge(cover, 1).to_string() == "t + t^7"
+    assert restrict_to_edge(cover, 2).to_string() == "1"
 
 
 def test_restrict_to_edge_can_vanish():
