@@ -112,6 +112,7 @@ def test_point_equality_scan_limit_comes_first():
         lambda: verify_point_equality((1, 2, 3), 61),
         lambda: scan_curve_points(PlaneCurve(parse_polynomial("x^3+y^3+z^3", (1, 1, 1))), 503),
         lambda: verify_orbit_stabilizer((6, 6, 6), 67),
+        lambda: scan_curve_points(PlaneCurve(parse_polynomial("x^4+y^4+z^2", (1, 1, 2))), 503),
         lambda: verify_veronese((7, 11, 13), 17, 5),
         lambda: verify_veronese((1, 1, 1), 2, 5, 400),
     ],
