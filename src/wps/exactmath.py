@@ -195,12 +195,6 @@ class PrimeField:
     def one(self) -> "FpElem":
         return FpElem(1, self.p)
 
-    def elements(self) -> list["FpElem"]:
-        return [FpElem(v, self.p) for v in range(self.p)]
-
-    def units(self) -> list["FpElem"]:
-        return [FpElem(v, self.p) for v in range(1, self.p)]
-
     def primitive_root(self) -> "FpElem":
         """Smallest generator of the multiplicative group."""
         m = self.p - 1

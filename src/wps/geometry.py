@@ -33,9 +33,6 @@ class WPoint:
         if not self._support:
             raise NotAConePoint("point coordinates are all zero")
 
-    def support(self) -> tuple[int, ...]:
-        return self._support
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WPoint)

@@ -9,7 +9,15 @@ from fractions import Fraction
 
 from .errors import AmbiguousLowDegree, NumeratorNotPolynomial, check_digits, check_work
 from .exactmath import QQ, UPolynomial, height
-from .truncation import graded_piece_basis
+from .weights import check_weight
+
+
+def _times(c: list[int], a: int, e: int) -> None:
+    """Multiply c in place, truncated to len(c), by (1 - t^a)^e, e = 1 or -1: the
+    module's one loop over coefficients, len(c) steps a pass.  e = 1 runs down
+    on old entries; e = -1 runs up on updated ones, summing 1 + t^a + t^2a ...."""
+    for k in range(len(c) - 1, a - 1, -1) if e == 1 else range(a, len(c)):
+        c[k] -= e * c[k - a]
 
 
 def _int_coeffs(num: UPolynomial) -> list[int]:
@@ -22,19 +30,12 @@ def _int_coeffs(num: UPolynomial) -> list[int]:
     return out
 
 
-def _check_weights(a) -> tuple[int, ...]:
-    a = tuple(int(x) for x in a)
-    if not a or any(x < 1 for x in a):
-        raise ValueError(f"denominator weights must be positive, got {a}")
-    return a
-
-
 class HilbertSeries:
     """Integer numerator polynomial over the denominator prod(1 - t^{a_i})."""
 
     def __init__(self, numerator: UPolynomial, denominator_weights):
         self.numerator = numerator
-        self.denominator_weights = _check_weights(denominator_weights)
+        self.denominator_weights = check_weight(denominator_weights, 1)
         self.int_coeffs = _int_coeffs(numerator)  # invariant: integer coefficients
 
     def expand(self, n: int) -> list[int]:
@@ -63,22 +64,31 @@ class HilbertSeries:
 def expand(s: HilbertSeries, n: int) -> list[int]:
     """Coefficients c_0..c_n of the power series, as exact integers.
 
-    Iterated prefix sums with stride a_i expand each 1/(1-t^{a_i}) factor.
-    Each coefficient counts one step per 64-bit word of the largest numerator
-    coefficient: the coefficients are that large, and callers that write
-    them out in decimal pay for every word.
+    One pass of n + 1 steps per factor 1/(1-t^{a_i}), each step counted once
+    per 64-bit word of the largest numerator coefficient: the coefficients
+    are that large, and callers that write them out in decimal pay for each.
     """
     if n < 0:
         raise ValueError("expansion length must be non-negative")
-    num = s.int_coeffs
+    num, a = s.int_coeffs, s.denominator_weights
     words = max(1, -(-max(map(height, num), default=0) // 64))
     what = f"series expansion to degree {n}" + (f" with {words}-word coefficients" if words > 1 else "")
-    check_work(n * words, what)
+    check_work(len(a) * (n + 1) * words, what)
     c = num[: n + 1] + [0] * max(0, n + 1 - len(num))
-    for a in s.denominator_weights:
-        for k in range(a, n + 1):
-            c[k] += c[k - a]
+    for w in a:
+        _times(c, w, -1)
     check_digits(c, f"a coefficient of the expansion to degree {n}")
+    return c
+
+
+def monomial_counts(a, n: int) -> list[int]:
+    """The number of monomials of each weighted degree 0..n over the weights
+    a: the coefficients of 1/prod(1 - t^{a_i}), one pass of n + 1 per weight."""
+    a = check_weight(a, 1)
+    check_work(len(a) * (n + 1), f"monomial counts to degree {n} over {len(a)} weights")
+    c = [1] + [0] * n
+    for w in a:
+        _times(c, w, -1)
     return c
 
 
@@ -122,65 +132,67 @@ class EllSequence:
     __call__ = value
 
 
-def _provider(coeffs):
-    if callable(coeffs):
-        return coeffs
-    seq = list(coeffs)
-    return lambda n: seq[n]
-
-
 def numerator_from_sequence(coeffs, a, max_degree: int) -> UPolynomial:
     """Recover N(t) = (sum c_n t^n) * prod(1 - t^{a_i}) as a polynomial.
 
-    The product is probed up to max_degree + sum(a), one step per degree;
-    any nonzero coefficient beyond max_degree raises NumeratorNotPolynomial.
+    The product is probed up to max_degree + sum(a), one pass over the
+    horizon + 1 coefficients per weight; any nonzero coefficient beyond
+    max_degree raises NumeratorNotPolynomial.
     """
-    a = _check_weights(a)
+    a = check_weight(a, 1)
     horizon = max_degree + sum(a)
-    check_work(horizon, f"numerator to degree {max_degree}")
-    get = _provider(coeffs)
+    check_work(len(a) * (horizon + 1), f"numerator to degree {max_degree}")
+    get = coeffs if callable(coeffs) else list(coeffs).__getitem__
     c = [int(get(n)) for n in range(horizon + 1)]
-    for ai in a:
-        c = [c[k] - (c[k - ai] if k >= ai else 0) for k in range(horizon + 1)]
-    for k in range(max_degree + 1, horizon + 1):
-        if c[k] != 0:
-            raise NumeratorNotPolynomial(
-                f"product still has a t^{k} term beyond degree {max_degree}"
-            )
+    for w in a:
+        _times(c, w, 1)
+    k = next((k for k in range(max_degree + 1, horizon + 1) if c[k]), None)
+    if k is not None:
+        raise NumeratorNotPolynomial(f"product still has a t^{k} term beyond degree {max_degree}")
     return UPolynomial(QQ, c[: max_degree + 1])
 
 
 def complete_intersection_series(a, relation_degrees) -> HilbertSeries:
-    """Series prod_j(1 - t^{d_j}) / prod_i(1 - t^{a_i})."""
-    a = _check_weights(a)
-    num = UPolynomial(QQ, [1])
-    for d in relation_degrees:
-        if d < 1:
-            raise ValueError("relation degrees must be positive")
-        num = num * UPolynomial(QQ, [1] + [0] * (d - 1) + [-1])
-    return HilbertSeries(num, a)
+    """Series prod_j(1 - t^{d_j}) / prod_i(1 - t^{a_i}); the numerator takes
+    one pass over its sum(d_j) + 1 coefficients per relation."""
+    a = check_weight(a, 1)
+    degrees = tuple(relation_degrees)
+    if any(d < 1 for d in degrees):
+        raise ValueError("relation degrees must be positive")
+    top = sum(degrees)
+    check_work(len(degrees) * (top + 1), f"numerator of {len(degrees)} relations of degree {top}")
+    c = [1] + [0] * top
+    for d in degrees:
+        _times(c, d, 1)
+    return HilbertSeries(UPolynomial(QQ, c), a)
 
 
 def ci_relation_degrees(num: UPolynomial) -> list[int] | None:
-    """Degrees d_j if num = prod(1 - t^{d_j}); None if it does not factor so."""
-    if num.is_zero() or Fraction(num.constant()) != 1:
+    """Degrees d_j if num = prod(1 - t^{d_j}); None if it does not factor so.
+
+    The least d >= 1 with a nonzero coefficient is the least d_j, with a
+    negative coefficient.  Division by 1 - t^d is one ascending pass, exact
+    iff the top d coefficients come out zero; it leaves t^1..t^(d-1) at zero,
+    so the next d_j is sought from d up.  Passes are counted as they go.
+    """
+    if not num.coeffs or Fraction(num.coeffs[0]) != 1:
         return None
+    c = _int_coeffs(num)
+    what = f"relation degrees of a degree-{len(c) - 1} numerator"
     out: list[int] = []
-    cur = num
-    while cur.degree() > 0:
-        coeffs = _int_coeffs(cur)
-        d = next(k for k in range(1, len(coeffs)) if coeffs[k] != 0)
-        if coeffs[d] > 0:
+    d, steps = 1, 0
+    while len(c) > 1:
+        d = next(k for k in range(d, len(c)) if c[k])
+        if c[d] > 0:
             return None
-        factor = UPolynomial(QQ, [1] + [0] * (d - 1) + [-1])
-        q, r = divmod(cur, factor)
-        if not r.is_zero():
+        steps += len(c)
+        check_work(steps, what)
+        _times(c, d, -1)
+        if any(c[-d:]):
             return None
+        del c[-d:]
         out.append(d)
-        cur = q
-    if _int_coeffs(cur) != [1]:
-        return None
-    return sorted(out)
+    return out
 
 
 def numerator_degree_bound(e: EllSequence, weights, k: int = 1) -> int:
@@ -204,9 +216,9 @@ def embedding_report(e: EllSequence, rows, max_degree: int | None = None) -> lis
     for k, weights in rows:
         if k < 1:
             raise ValueError(f"row k must be positive, got {k}")
-        weights = _check_weights(weights)
+        weights = check_weight(weights, 1)
         jobs.append((k, weights, numerator_degree_bound(e, weights, k) if max_degree is None else max_degree))
-    check_work(sum(bound + sum(weights) for _, weights, bound in jobs), f"numerators for {len(jobs)} rows")
+    check_work(sum(len(w) * (bound + sum(w) + 1) for _, w, bound in jobs), f"numerators for {len(jobs)} rows")
     report = []
     for k, weights, bound in jobs:
         num = numerator_from_sequence(lambda n, k=k: e(k * n), weights, bound)
@@ -217,17 +229,25 @@ def embedding_report(e: EllSequence, rows, max_degree: int | None = None) -> lis
 def generator_discovery(e: EllSequence, max_degree: int) -> tuple[list[dict], list[int]]:
     """Per-degree generator counting: new_n = ell(n) - #(degree-n products).
 
-    Products are monomials in the generators found so far; a negative
-    `new` signals a relation in that degree.  Returns (rows, generator
-    degrees).
+    Products are monomials in the generators found so far, counted by the
+    running series prod 1/(1 - t^g) over them; a negative `new` signals a
+    relation in that degree.  Returns (rows, generator degrees).  One step
+    per degree, and one pass per generator, counted as they are found.
     """
+    what = f"generator discovery to degree {max_degree}"
+    steps = max_degree
+    check_work(steps, what)
+    series = [1] + [0] * max_degree
     gens: list[int] = []
     rows = []
     for n in range(1, max_degree + 1):
-        have = len(graded_piece_basis(tuple(gens), n))
-        need = e(n)
+        have, need = series[n], e(n)
         new = need - have
         if new > 0:
+            steps += new * len(series)
+            check_work(steps, what)
             gens.extend([n] * new)
+            for _ in range(new):
+                _times(series, n, -1)
         rows.append({"degree": n, "products": have, "ell": need, "new": new})
     return rows, gens

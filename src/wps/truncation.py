@@ -31,13 +31,9 @@ def graded_piece_basis(a, d: int) -> list[Monomial]:
     """All exponent tuples of weighted degree exactly d, in colex order: the
     exponents of x_{n-1}, ..., x_1 ascend from the last variable down, one
     step per suffix x_1..x_{n-1} of degree <= d, and x_0 is solved for."""
-    a = tuple(int(x) for x in a)
-    if a and min(a) < 1:
-        raise ValueError(f"weight entries must be positive, got {a}")
+    a = check_weight(a, 1)
     if d < 0:
         raise ValueError("degree must be non-negative")
-    if not a:
-        return [()] if d == 0 else []
     suffixes = [(d, ())]  # (degree left, exponents of x_i..x_{n-1})
     for w in reversed(a[1:]):
         suffixes = [(r - w * e, (e, *s)) for r, s in suffixes for e in range(r // w + 1)]
@@ -55,29 +51,25 @@ def veronese_generators(a: Weight, d: int) -> list[Monomial]:
     power d_i*u_i or lies in the box e_i < d_i: if e_i >= d_i, then
     e - d_i*u_i still has degree divisible by d, so d_i*u_i divides e.  The
     candidates are therefore the n pure powers and the nonzero box vectors
-    of degree divisible by d.  Taken in (degree, colex) order, a candidate
-    is a generator iff no earlier generator divides it, so the list is
-    complete and ordered by degree, then colex.  The box costs n steps per
-    vector.
+    of degree divisible by d.  A pure power divides no box vector and no box
+    vector divides one, so the pure powers are all generators, and a box
+    vector taken in (degree, colex) order is one iff no earlier box generator
+    divides it.  The list is ordered by degree, then colex.  Each box vector
+    and each pure power costs n steps.
     """
     a = check_weight(a)
     if d < 1:
         raise ValueError("truncation step must be >= 1")
     di = [d // gcd(x, d) for x in a]
     n = len(a)
-    check_work(n * prod(di), f"Veronese box of {prod(di)} vectors in {n} coordinates")
-    candidates = [tuple(di[i] if k == i else 0 for k in range(n)) for i in range(n)]
-    candidates += [
-        e
-        for e in product(*(range(m) for m in di))
-        if any(e) and monomial_degree(e, a) % d == 0
-    ]
-    candidates.sort(key=lambda e: (monomial_degree(e, a), monomial_key(e)))
+    check_work(n * (prod(di) + n), f"Veronese box of {prod(di)} vectors in {n} coordinates")
+    order = lambda e: (monomial_degree(e, a), monomial_key(e))
+    box = sorted((e for e in product(*(range(m) for m in di)) if any(e) and monomial_degree(e, a) % d == 0), key=order)
     gens: list[Monomial] = []
-    for m in candidates:
+    for m in box:
         if not any(_divides(g, m) for g in gens):
             gens.append(m)
-    return gens
+    return sorted([tuple(di[i] if k == i else 0 for k in range(n)) for i in range(n)] + gens, key=order)
 
 
 def regraded_degrees(gens: list[Monomial], a: Weight, d: int) -> list[int]:
@@ -181,8 +173,8 @@ def straighten_chain(
     """Well-form the weight and carry the principal ideal (f) along.
 
     Generator names track what each current variable is as a monomial in
-    the original variables (case II replaces the spared generator by its
-    d-th power).
+    the original variables: x_j^(m_j), as case II replaces the spared
+    generator by its d-th power.
     """
     a = check_weight(a)
     if tuple(f.weight) != a:
@@ -190,23 +182,19 @@ def straighten_chain(
     if is_weighted_homogeneous(f) is None:
         raise NotHomogeneous("straightening needs a weighted-homogeneous input")
     final_weight, trace = well_form(a, prime_steps)
-    n = len(a)
-    gen_exponents: list[Monomial] = [
-        tuple(1 if k == i else 0 for k in range(n)) for i in range(n)
-    ]
+    powers = [1] * len(a)
     cur = f
     steps: list[WellFormStep] = []
     for step in trace:
         cur, tag = transform_principal_ideal(cur, step.before, step.d, step.case, step.spared)
         if step.case == "II":
-            j = step.spared
-            gen_exponents[j] = tuple(step.d * x for x in gen_exponents[j])
+            powers[step.spared] *= step.d
         steps.append(
             WellFormStep(step.case, step.d, step.spared, step.before, step.after, tag)
         )
     if tuple(cur.weight) != final_weight:
         raise Mismatch(f"straightened weight {cur.weight} does not match {final_weight}")
-    names = [monomial_string(g, variable_names(n)) for g in gen_exponents]
+    names = [monomial_string((m,), [x]) for x, m in zip(variable_names(len(a)), powers)]
     degree = is_weighted_homogeneous(cur)
     presentation = GradedPresentation(final_weight, names, [cur], [degree])
     return presentation, WellFormTrace(steps)

@@ -10,10 +10,11 @@ from .exactmath import prime_factors
 Weight = tuple[int, ...]
 
 
-def check_weight(a) -> Weight:
+def check_weight(a, min_len: int = 2) -> Weight:
+    """The entries of a as a tuple of at least min_len positive ints."""
     a = tuple(int(x) for x in a)
-    if len(a) < 2:
-        raise ValueError(f"weight needs at least two entries, got {a}")
+    if len(a) < min_len:
+        raise ValueError(f"weight needs {min_len} or more entries, got {a}")
     if any(x < 1 for x in a):
         raise ValueError(f"weight entries must be positive, got {a}")
     return a

@@ -77,10 +77,6 @@ class WPolynomial:
                     else:
                         self.terms[e] = c
 
-    @classmethod
-    def zero(cls, weight: Weight, field=QQ) -> "WPolynomial":
-        return cls(weight, field)
-
     def is_zero(self) -> bool:
         return not self.terms
 

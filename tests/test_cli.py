@@ -415,6 +415,7 @@ def test_truncate_box_too_large(capsys):
         ["check", "--weights", "1,1,1", "--poly", "(x+y+z)^3000"],
         ["hilbert", "expand", "--weights", "1,1", "-N", "30000000"],
         ["hilbert", "numerator", "--weights", "1,1", "--genus", "1", "--deg", "3", "-N", "30000000"],
+        ["hilbert", "expand", "--weights", "1,1,1,1,1,1,1,1", "--numerator", "(10)^3995", "-N", "1000"],
     ],
 )
 def test_work_limit_refuses_before_the_work(capsys, argv):
@@ -447,7 +448,7 @@ def test_expand_counts_the_words_of_large_coefficients(capsys, weights, n):
         ["straighten", "--weights", "1,1,1", "--poly", "(10)^5000*x"],
         ["check", "--weights", "1,1,1", "--poly", "7" * 4500 + "*x"],
         ["straighten", "--weights", "1,2,2", "--poly", "(10)^2000*x^3+x*y"],  # (10^2000)^2 after squaring
-        ["hilbert", "expand", "--weights", "1,1,1,1,1,1,1,1", "--numerator", "(10)^3995", "-N", "1000"],
+        ["hilbert", "expand", "--weights", "1,1,1,1,1,1,1,1", "--numerator", "(10)^3995", "-N", "20"],  # 10^3995 * C(27, 7)
         ["eq", "--weights", "1,1", "--field", "q", "1:" + "7" * 4500, "1:2"],
     ],
 )
@@ -539,6 +540,11 @@ def test_manifest_integers_past_the_digit_limit_are_refused_alike(capsys, tmp_pa
         (["eq", "--weights", "32244,40,232729", "--field", "q", "32244:40:32244", "32244:32244:232729"], None),
         (["hilbert", "table", "--genus", "0", "--deg", "33", "-N", "141414"], None),
         (["check", "--census", "--weights", "500000,500001,1000001", "--poly", "z+x*y"], None),
+        # one pass per weight: these ran for 9 s to over a minute when each degree counted one step
+        (["hilbert", "table", "--row", "1=" + ",".join(["1"] * 2500)], None),
+        (["hilbert", "expand", "--weights", ",".join(["1"] * 1000), "-N", "20000"], None),
+        (["hilbert", "expand", "--weights", ",".join(["1"] * 300), "-N", "100000"], None),
+        (["truncate", "--weights", ",".join(["1"] * 2500), "--d", "1"], None),  # n^3 generator checks before
     ],
 )
 def test_every_entry_point_refuses_past_the_budget_at_once(capsys, tmp_path, argv, line):
@@ -564,6 +570,16 @@ def test_requests_under_the_budget_still_answer(capsys, tmp_path):
     assert code == 0 and out[-1] == "1/1 checks passed"
     code, out, _ = run(capsys, "genus", "--sweep")
     assert code == 0 and out == ["checked=777 failures=0"]
+    # (1 - t)^198: 200 passes of 401 steps, then 198 exact divisions by 1 - t (29 s over Fractions)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "hilbert", "numerator", "--weights", ",".join(["1"] * 200), "--genus", "0", "--deg", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out[0].startswith("1 - 198*t + 19503*t^2") and out[1] == "relation degrees: " + ",".join(["1"] * 198)
+    # one power per generator name, not a unit tuple of length n
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "straighten", "--weights", ",".join(["1"] * 2500), "--poly", "x0*x1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out[1].startswith("generators: x0 -> x0, x1 -> x1,") and out[1].endswith("x2499 -> x2499")
 
 
 def test_prime_steps_split_a_gcd_of_two_large_primes(capsys):
@@ -592,7 +608,10 @@ def test_json_env_var(capsys, monkeypatch):
 # === argv fuzzing ===
 
 INTS = st.one_of(st.integers(-3, 40), st.integers(0, 10**12))
-WEIGHTS = st.lists(INTS, min_size=1, max_size=5).map(lambda a: ",".join(map(str, a)))
+# now and then a long run of unit weights: a count that misses the factor len(a) shows there
+WEIGHTS = (st.lists(INTS, min_size=1, max_size=5) | st.integers(1, 2500).map(lambda k: [1] * k)).map(
+    lambda a: ",".join(map(str, a))
+)
 POINTS = st.lists(INTS, min_size=1, max_size=5).map(lambda a: ":".join(map(str, a)))
 LEAVES = st.one_of(
     st.sampled_from(["x", "y", "z", "w", "t", "x0", "x2", "x4"]),

@@ -130,7 +130,7 @@ def test_fp_arithmetic_basics():
 
 def test_fp_field_axioms_exhaustive():
     F11 = PrimeField(11)
-    elems = F11.elements()
+    elems = [F11.coerce(v) for v in range(11)]
     for x in elems:
         assert x + F11.zero == x and x * F11.one == x
         if x != F11.zero:

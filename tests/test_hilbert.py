@@ -1,4 +1,7 @@
+import random
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -12,10 +15,12 @@ from wps.hilbert import (
     embedding_report,
     expand,
     generator_discovery,
+    monomial_counts,
     numerator_degree_bound,
     numerator_from_sequence,
 )
 from wps.parser import parse_upolynomial
+from wps.truncation import graded_piece_basis
 
 ELLIPTIC = EllSequence(genus=1, divisor_degree=1)
 
@@ -50,11 +55,13 @@ def test_expand_guards():
 
 
 def test_degree_past_the_work_limit_is_refused_before_the_work():
-    with pytest.raises(TooLarge, match=f"series expansion to degree {WORK_LIMIT + 1} exceeds the work limit"):
-        series("1", (1, 1)).expand(WORK_LIMIT + 1)
+    # two weights make two passes over the n + 1 coefficients
+    last = WORK_LIMIT // 2 - 1
+    with pytest.raises(TooLarge, match=f"series expansion to degree {last + 1} exceeds the work limit"):
+        series("1", (1, 1)).expand(last + 1)
     with pytest.raises(TooLarge, match=f"numerator to degree {WORK_LIMIT + 1} exceeds the work limit"):
         numerator_from_sequence(ELLIPTIC, (1, 2, 3), WORK_LIMIT + 1)
-    assert len(series("1", (1, 1)).expand(WORK_LIMIT)) == WORK_LIMIT + 1
+    assert series("1", (1, 1)).expand(last) == list(range(1, last + 2))
 
 
 def test_numerator_counts_its_probe_horizon():
@@ -211,3 +218,104 @@ def test_genus_three_embedding_numerator():
     ]
     rebuilt = HilbertSeries(num, (1, 4, 5, 6, 7)).expand(40)
     assert rebuilt == base[:41]
+
+
+# === the stride kernel against the algorithms it replaced ===
+
+
+def _product_numerator(degrees):
+    """prod(1 - t^d) by UPolynomial products."""
+    num = UPolynomial(QQ, [1])
+    for d in degrees:
+        num = num * UPolynomial(QQ, [1] + [0] * (d - 1) + [-1])
+    return num
+
+
+def _divmod_relation_degrees(num):
+    """ci_relation_degrees by repeated UPolynomial divmod."""
+    if num.is_zero() or Fraction(num.constant()) != 1:
+        return None
+    out, cur = [], num
+    while cur.degree() > 0:
+        coeffs = cur.coeffs
+        d = next(k for k in range(1, len(coeffs)) if coeffs[k] != 0)
+        if coeffs[d] > 0:
+            return None
+        cur, r = divmod(cur, UPolynomial(QQ, [1] + [0] * (d - 1) + [-1]))
+        if not r.is_zero():
+            return None
+        out.append(d)
+    return sorted(out) if cur == UPolynomial(QQ, [1]) else None
+
+
+def _enumerated_discovery(e, max_degree):
+    """generator_discovery counting the degree-n products by enumeration."""
+    gens, rows = [], []
+    for n in range(1, max_degree + 1):
+        have = len(graded_piece_basis(tuple(gens), n)) if gens else 0
+        new = e(n) - have
+        gens.extend([n] * max(new, 0))
+        rows.append({"degree": n, "products": have, "ell": e(n), "new": new})
+    return rows, gens
+
+
+def test_relation_numerators_match_products_and_divmod():
+    rng = random.Random(2024)
+    tally = {"factors": 0, "does not": 0}
+    for i in range(300):
+        degrees = [rng.randint(1, 7) for _ in range(rng.randint(0, 4))]
+        num = complete_intersection_series((1, 2), degrees).numerator
+        assert num == _product_numerator(degrees), degrees
+        if i % 2:  # perturb one coefficient, the constant term kept
+            coeffs = [int(c) for c in num.coeffs] + [0, 0]
+            coeffs[rng.randrange(1, len(coeffs))] += rng.choice([-2, -1, 1, 2])
+            num = UPolynomial(QQ, coeffs)
+        got = ci_relation_degrees(num)
+        assert got == _divmod_relation_degrees(num), num.to_string()
+        assert i % 2 or got == sorted(degrees)
+        tally["factors" if got is not None else "does not"] += 1
+    assert min(tally.values()) >= 100, tally
+
+
+def test_generator_discovery_matches_enumerated_products():
+    rng = random.Random(2025)
+    checked = relations = 0
+    while checked < 60:
+        genus, deg = rng.randint(0, 3), rng.randint(1, 3)
+        probe = EllSequence(genus, deg)
+        overrides = {n: rng.randint(1, n * deg + 1) for n in range(1, probe.ambiguous_count + 1)}
+        e = EllSequence(genus, deg, overrides)
+        max_degree = rng.randint(1, 9)
+        if sum(comb(n + e(1) - 1, n) for n in range(1, max_degree + 1)) > 20000:
+            continue
+        rows, gens = generator_discovery(e, max_degree)
+        assert (rows, gens) == _enumerated_discovery(e, max_degree), (genus, deg, overrides, max_degree)
+        checked += 1
+        relations += any(r["new"] < 0 for r in rows)
+    assert relations >= 20
+
+
+def test_monomial_counts_match_graded_pieces():
+    rng = random.Random(2026)
+    for _ in range(100):
+        a = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
+        n = rng.randint(0, 25)
+        assert monomial_counts(a, n) == [len(graded_piece_basis(a, k)) for k in range(n + 1)], (a, n)
+        assert monomial_counts(a, n) == HilbertSeries(UPolynomial(QQ, [1]), a).expand(n)
+
+
+def test_counts_that_had_no_budget_answer_or_refuse_at_once():
+    start = time.perf_counter()
+    rows, gens = generator_discovery(EllSequence(0, 5), 45)
+    assert gens == [1] * 6 and rows[-1]["products"] == comb(50, 5) == 2_118_760
+    with pytest.raises(TooLarge, match="numerator of 1 relations of degree 1000000 exceeds the work limit"):
+        complete_intersection_series((1, 1), [10**6])
+    with pytest.raises(TooLarge, match="generator discovery to degree 5 exceeds the work limit"):
+        generator_discovery(EllSequence(0, 10**6), 5)
+    with pytest.raises(TooLarge, match="generator discovery to degree 1000000000 exceeds the work limit"):
+        generator_discovery(ELLIPTIC, 10**9)
+    # (1 - t)^800 divides 800 times, passes of 801, 800, ... steps: refused on the way
+    with pytest.raises(TooLarge, match="relation degrees of a degree-800 numerator exceeds the work limit"):
+        ci_relation_degrees(UPolynomial(QQ, [(-1) ** j * comb(800, j) for j in range(801)]))
+    assert ci_relation_degrees(UPolynomial(QQ, [(-1) ** j * comb(600, j) for j in range(601)])) == [1] * 600
+    assert time.perf_counter() - start < 1.0

@@ -41,16 +41,26 @@ def _referenced(tree) -> Counter:
     return Counter(node.id if isinstance(node, ast.Name) else node.attr for node in nodes)
 
 
+def _functions(tree):
+    """The module-level functions of `tree` and the methods of its classes."""
+    for node in tree.body:
+        yield from [node] if isinstance(node, ast.FunctionDef) else node.body if isinstance(node, ast.ClassDef) else []
+
+
 def test_every_function_is_called_or_exported():
-    # a module-level function that nothing in src/wps names outside its own
-    # definition, and that wps does not export, is dead code
+    # a function or method that nothing in src/wps names outside its own
+    # definition, and that wps does not export, is dead code; dunder methods
+    # are called by the language
     trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
     exported = set(_imported_names(trees.pop("__init__.py")))
     uses = sum(map(_referenced, trees.values()), Counter())
     dead = sorted(
         f"{name}: {fn.name}"
         for name, tree in trees.items()
-        for fn in tree.body
-        if isinstance(fn, ast.FunctionDef) and fn.name not in exported and uses[fn.name] == _referenced(fn)[fn.name]
+        for fn in _functions(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and not fn.name.startswith("__")
+        and fn.name not in exported
+        and uses[fn.name] == _referenced(fn)[fn.name]
     )
     assert not dead, f"functions nothing calls: {dead}"

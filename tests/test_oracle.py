@@ -190,7 +190,7 @@ def _ref_enumerate(a, p):
     for v in product(range(p), repeat=len(a)):
         if any(v):
             x = WPoint(a, v, field)
-            reps.add(min(tuple((lam ** ai * c).value for ai, c in zip(a, x.coords)) for lam in field.units()))
+            reps.add(min(tuple((lam ** ai * c).value for ai, c in zip(a, x.coords)) for lam in map(field.coerce, range(1, p))))
     return [WPoint(a, r, field) for r in sorted(reps)]
 
 

@@ -30,8 +30,9 @@ def test_graded_piece_basis_frozen():
     assert graded_piece_basis((1, 1), 3) == [(3, 0), (2, 1), (1, 2), (0, 3)]
     assert graded_piece_basis((2, 3), 1) == []
     assert graded_piece_basis((1, 1), 0) == [(0, 0)]
-    assert graded_piece_basis((), 0) == [()], "generator_discovery starts from no generators"
-    assert graded_piece_basis((), 3) == []
+    for d in (0, 3):
+        with pytest.raises(ValueError, match="weight needs 1 or more entries"):
+            graded_piece_basis((), d)
 
 
 def test_graded_piece_basis_counts():

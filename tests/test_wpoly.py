@@ -95,7 +95,7 @@ def test_weighted_degree_and_homogeneity():
     assert weighted_degree(g) == 2
     assert is_weighted_homogeneous(g) is None
     with pytest.raises(ZeroPolynomial):
-        weighted_degree(WPolynomial.zero((1, 1)))
+        weighted_degree(WPolynomial((1, 1), QQ))
 
 
 def test_monomial_degree():
@@ -108,7 +108,7 @@ def test_graded_decompose():
     parts = graded_decompose(f)
     assert sorted(parts) == [1, 2, 3]
     assert parts[1] == parse_polynomial("y", (1, 1))
-    assert sum(parts.values(), WPolynomial.zero((1, 1))) == f
+    assert sum(parts.values(), WPolynomial((1, 1), QQ)) == f
 
 
 # === calculus and evaluation ===
