@@ -33,7 +33,6 @@ from .exactmath import (
     RationalField,
     UPolynomial,
     distinct_root_count,
-    upoly_gcd,
 )
 from .weights import (
     Weight,
@@ -83,7 +82,6 @@ from .curves import (
     branch_census,
     branching_index,
     edge_point_count,
-    edge_squarefree_check,
     genus,
     integrality_sweep,
     is_singular_at,

@@ -139,7 +139,9 @@ def straight_cover(c: PlaneCurve) -> PlaneCurve:
 
 def _edges(c: PlaneCurve) -> list[UPolynomial]:
     """The three edge restrictions of the straight cover; none may be zero.
-    Each has degree <= d, and Euclid on g and g' to count its roots <= d^2 steps."""
+    Each has degree <= d; a remainder sequence that drops one degree a step
+    takes about d^2 steps on it, so 3 d^2 is checked up front, and
+    `distinct_root_count` counts every step as it goes."""
     check_work(3 * c.degree**2, f"root counts on the edges of a degree-{c.degree} cover")
     cover = straight_cover(c).poly
     edges = [restrict_to_edge(cover, i) for i in range(3)]
@@ -147,15 +149,6 @@ def _edges(c: PlaneCurve) -> list[UPolynomial]:
         if g.is_zero():
             raise DegenerateEdge(f"edge {i} restriction is identically zero")
     return edges
-
-
-def edge_squarefree_check(c: PlaneCurve) -> tuple[bool, list[dict]]:
-    """Squarefreeness of the three edge restrictions of the straight cover."""
-    rows = [
-        {"i": i, "poly": g, "squarefree": distinct_root_count(g) == g.degree()}
-        for i, g in enumerate(_edges(c))
-    ]
-    return all(r["squarefree"] for r in rows), rows
 
 
 def _check_degree_weight(d: int, a: Weight) -> Weight:
@@ -281,9 +274,9 @@ def branch_census(c: PlaneCurve) -> dict:
     """
     vertices = list(vertex_membership(c))
     d, a = c.degree, c.weight
-    edges = []
+    edges, spent = [], [0]
     for i, g in enumerate(_edges(c)):
-        roots = distinct_root_count(g)
+        roots = distinct_root_count(g, spent)
         count = roots - 1 if g.constant() == g.field.zero else roots
         predicted = edge_point_count(d, a, i)
         edges.append(

@@ -7,9 +7,9 @@ prime fields F_p.  Both are exact; there is no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .errors import FieldMismatch, TooLarge, ZeroPolynomial, check_digits
+from .errors import FieldMismatch, TooLarge, ZeroPolynomial, check_digits, check_work
 
 # (base, psi): an odd n < psi that is a strong probable prime to every base
 # up to this one is prime (Sorenson and Webster 2015, the first 13 primes).
@@ -349,10 +349,6 @@ class UPolynomial:
     def zero(cls, field) -> "UPolynomial":
         return cls(field, ())
 
-    @classmethod
-    def monomial(cls, field, degree: int, coeff=1) -> "UPolynomial":
-        return cls(field, [0] * degree + [coeff])
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -360,11 +356,6 @@ class UPolynomial:
         if self.is_zero():
             raise ZeroPolynomial("the zero polynomial has no degree")
         return len(self.coeffs) - 1
-
-    def leading(self):
-        if self.is_zero():
-            raise ZeroPolynomial("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def constant(self):
         return self.coeffs[0] if self.coeffs else self.field.zero
@@ -412,36 +403,6 @@ class UPolynomial:
     def __pow__(self, n: int) -> "UPolynomial":
         return _power(UPolynomial(self.field, [1]), self, n)
 
-    def __divmod__(self, other: "UPolynomial"):
-        self._check_field(other)
-        if other.is_zero():
-            raise ZeroPolynomial("division by the zero polynomial")
-        q = UPolynomial.zero(self.field)
-        r = self
-        d = other.degree()
-        lead_inv = self.field.one / other.leading()
-        while not r.is_zero() and r.degree() >= d:
-            shift = r.degree() - d
-            c = r.leading() * lead_inv
-            t = UPolynomial.monomial(self.field, shift, c)
-            q = q + t
-            r = r - t * other
-        return q, r
-
-    def __floordiv__(self, other: "UPolynomial") -> "UPolynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "UPolynomial") -> "UPolynomial":
-        return divmod(self, other)[1]
-
-    def derivative(self) -> "UPolynomial":
-        return UPolynomial(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "UPolynomial":
-        if self.is_zero():
-            return self
-        return self.scale(self.field.one / self.leading())
-
     def __call__(self, x):
         acc = self.field.zero
         for c in reversed(self.coeffs):
@@ -468,34 +429,82 @@ class UPolynomial:
         return f"UPolynomial({self.to_string()})"
 
 
-def upoly_gcd(a: UPolynomial, b: UPolynomial) -> UPolynomial:
-    """Monic gcd by the Euclidean algorithm; gcd(0,0) = 0."""
-    if a.field != b.field:
-        raise FieldMismatch(f"gcd over {a.field} and {b.field}")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
-def distinct_root_count(g: UPolynomial) -> int:
-    """Number of distinct roots of g in the algebraic closure."""
+def distinct_root_count(g: UPolynomial, spent: list[int] | None = None) -> int:
+    """Number of distinct roots of g in the algebraic closure, counted on int lists (a rational g
+    with its denominators cleared, an F_p one as residues).  The steps go to spent[0], a running
+    total the calls of one request may share, checked against WORK_LIMIT as they go."""
     if g.is_zero():
         raise ZeroPolynomial("root count of the zero polynomial")
-    return _distinct_roots(g)
+    spent = [0] if spent is None else spent
+    p = g.field.p if isinstance(g.field, PrimeField) else 0
+    if p:
+        ints = [c.value for c in g.coeffs]
+    else:
+        den = 1
+        for c in g.coeffs:
+            _spend(spent, 1, den.bit_length() + c.denominator.bit_length())
+            den = lcm(den, c.denominator)
+        ints = [c.numerator * (den // c.denominator) for c in g.coeffs]
+    return _distinct_roots(_normal(ints[::-1], p, spent), p, spent)
 
 
-def _distinct_roots(g: UPolynomial) -> int:
+def _spend(spent: list[int], ops: int, bits: int) -> None:
+    """Add ops operations on ints of up to `bits` bits to spent[0] and check it: 1 + w^2 // 256
+    steps each for w = ceil(bits / 64) words, as CPython multiplies, divides and takes gcds of
+    w-word ints in time quadratic in w (0.5 to 1 us a step on a 2-core VM, Python 3.11)."""
+    w = -(-bits // 64)
+    spent[0] += ops * (1 + w * w // 256)
+    check_work(spent[0], "counting distinct roots")
+
+
+def _normal(a: list[int], p: int, spent: list[int]) -> list[int]:
+    """a (leading coefficient first) without leading zeros, and monic over
+    F_p (p > 0) or divided by its content over the integers (p = 0)."""
+    _spend(spent, 2 * len(a), max(map(abs, a), default=0).bit_length())
+    if p:
+        a = [x % p for x in a]
+    a = a[next((i for i, x in enumerate(a) if x), len(a)) :]
+    if not a:
+        return a
+    u = pow(a[0], -1, p) if p else gcd(*a)
+    return [x * u % p for x in a] if p else [x // u for x in a]
+
+
+def _divide(a: list[int], b: list[int], p: int, spent: list[int]) -> tuple[list[int], list[int]]:
+    """Pseudo-division of a by b, leading coefficients first, b normal: (q, r)
+    with k*a = q*b + c*r for nonzero scalars k, c and r normal of degree below
+    b's.  Each row scales a by the least u that cancels its leading term
+    against b; over F_p, where b is monic, u = 1, so k = 1 and q is the quotient."""
+    n, lb, top = len(b), b[0], max(map(abs, b))
+    q = []
+    while len(a) >= n:
+        _spend(spent, len(a), max(top, *map(abs, a)).bit_length())
+        u, v = (1, a[0] % p) if p else (lb // (h := gcd(lb, a[0])), a[0] // h)
+        q.append(v)
+        a = [u * x - v * y for x, y in zip(a[1:], b[1:])] + [u * x for x in a[n:]]
+    return q, _normal(a, p, spent)
+
+
+def _gcd(a: list[int], b: list[int], p: int, spent: list[int]) -> list[int]:
+    """gcd of two normal polynomials (a nonzero constant for coprime ones) by the primitive
+    pseudo-remainder sequence: each remainder is normalised, so over the integers every
+    entry stays an int no larger than the subresultants (Brown and Traub 1971)."""
+    while len(b) > 1:
+        a, b = b, _divide(a, b, p, spent)[1]
+    return b or a
+
+
+def _distinct_roots(g: list[int], p: int, spent: list[int]) -> int:
     """deg(g / gcd(g, g')) counts the roots whose multiplicity the
     characteristic does not divide.  Over F_p the others are the roots of
     gcd(g, g') with its common factors with g / gcd(g, g') stripped: a
     polynomial in t^p, whose p-th root (the same coefficients on t, as
     c^p = c in F_p) has the same distinct roots."""
-    if g.degree() == 0:
-        return 0
-    c = upoly_gcd(g, g.derivative())
-    sqf = g // c
-    if not isinstance(g.field, PrimeField) or c.degree() == 0:
-        return sqf.degree()
-    while (s := upoly_gcd(c, sqf)).degree() > 0:
-        c = c // s
-    return sqf.degree() + _distinct_roots(UPolynomial(g.field, c.coeffs[:: g.field.p]))
+    n = len(g) - 1
+    c = _gcd(g, _normal([(n - i) * x for i, x in enumerate(g[:-1])], p, spent), p, spent)
+    if not p or len(c) == 1:
+        return n - len(c) + 1
+    sqf = _divide(g, c, p, spent)[0]
+    while len(s := _gcd(c, sqf, p, spent)) > 1:
+        c = _divide(c, s, p, spent)[0]
+    return len(sqf) - 1 + _distinct_roots(c[::p], p, spent)

@@ -98,19 +98,16 @@ class _Parser:
         return poly
 
     def expr(self) -> WPolynomial:
-        tok = self.peek()
-        if tok is not None and tok.kind in "+-":
-            self.take()
-            acc = self.term()
-            if tok.kind == "-":
-                acc = -acc
-        else:
-            acc = self.term()
-        while (tok := self.peek()) is not None and tok.kind in "+-":
-            self.take()
-            nxt = self.term()
-            acc = acc + nxt if tok.kind == "+" else acc - nxt
-        return acc
+        """A signed sum of terms, added into one dict: adding each term to a copy
+        of the sum so far took time quadratic in their count."""
+        out, tok = {}, self.peek()
+        sign = self.take().kind if tok is not None and tok.kind in "+-" else "+"
+        while True:
+            for e, c in self.term().terms.items():
+                out[e] = out.get(e, 0) + (c if sign == "+" else -c)
+            if (tok := self.peek()) is None or tok.kind not in "+-":
+                return WPolynomial(self.weight, self.field, out)
+            sign = self.take().kind
 
     def term(self) -> WPolynomial:
         acc = self.power()

@@ -136,6 +136,9 @@ class WPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "WPolynomial":
+        if len(self.terms) == 1 and n >= 0:  # (c x^e)^n = c^n x^(n e)
+            [(e, c)] = self.terms.items()
+            return WPolynomial(self.weight, self.field, {tuple(n * x for x in e): c**n})
         return _power(WPolynomial(self.weight, self.field, {(0,) * self.nvars(): 1}), self, n)
 
     def __eq__(self, other) -> bool:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import signal
 import sys
 import time
@@ -521,6 +522,20 @@ def test_manifest_integers_past_the_digit_limit_are_refused_alike(capsys, tmp_pa
     refused_alike(capsys, ["oracle", "run", "--manifest", str(manifest)])
 
 
+def _dense_curve(d):
+    """A pseudo-random degree-d curve in P(1,1,1), dense on all three edges:
+    x^d, y^d, z^d with coefficients in 1..9, and x^(d-k)*y^k, y^(d-k)*z^k and
+    z^(d-k)*x^k for 0 < k < d with coefficients in -9..9, a 0 leaving the term out."""
+    rng = random.Random(60)
+    terms = []
+    for u, v in (("x", "y"), ("y", "z"), ("z", "x")):
+        terms.append(f"{rng.randint(1, 9)}*{u}^{d}")
+        for k in range(1, d):
+            if c := rng.randint(-9, 9):
+                terms.append(f"{c}*{u}^{d - k}*{v}^{k}".replace("^1*", "*").removesuffix("^1"))
+    return "+".join(terms).replace("+-", "-")
+
+
 @pytest.mark.parametrize(
     "argv, line",
     [
@@ -545,6 +560,8 @@ def test_manifest_integers_past_the_digit_limit_are_refused_alike(capsys, tmp_pa
         (["hilbert", "expand", "--weights", ",".join(["1"] * 1000), "-N", "20000"], None),
         (["hilbert", "expand", "--weights", ",".join(["1"] * 300), "-N", "100000"], None),
         (["truncate", "--weights", ",".join(["1"] * 2500), "--d", "1"], None),  # n^3 generator checks before
+        # the parser counts 242,636 steps and _edges 3*288^2 = 248,832: the root counts refuse, as they go
+        (["check", "--census", "--weights", "1,1,1", "--poly", _dense_curve(288)], None),
     ],
 )
 def test_every_entry_point_refuses_past_the_budget_at_once(capsys, tmp_path, argv, line):
@@ -580,6 +597,13 @@ def test_requests_under_the_budget_still_answer(capsys, tmp_path):
     code, out, _ = run(capsys, "straighten", "--weights", ",".join(["1"] * 2500), "--poly", "x0*x1")
     assert time.perf_counter() - start < 1.0
     assert code == 0 and out[1].startswith("generators: x0 -> x0, x1 -> x1,") and out[1].endswith("x2499 -> x2499")
+    # the root counts of a dense degree-60 census: 4.9 s over Fractions; the sparse degree-288 one still answers
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", "--census", "--weights", "1,1,1", "--poly", _dense_curve(60))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out[-3:] == [f"  edge {i}: count=60 predicted=60 agree=yes squarefree=yes" for i in range(3)]
+    code, out, _ = run(capsys, "check", "--census", "--weights", "1,1,1", "--poly", "x^288+y^288+z^288")
+    assert code == 0 and out[-1] == "  edge 2: count=288 predicted=288 agree=yes squarefree=yes"
 
 
 def test_prime_steps_split_a_gcd_of_two_large_primes(capsys):

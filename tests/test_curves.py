@@ -22,7 +22,6 @@ from wps.curves import (
     _least_solution,
     branch_census,
     branching_index,
-    edge_squarefree_check,
     genus,
     integrality_sweep,
     is_singular_at,
@@ -35,12 +34,14 @@ from wps.curves import (
     sweep_instances,
     vertex_membership,
 )
-from wps.exactmath import QQ, PrimeField, distinct_root_count, upoly_gcd
+from wps.exactmath import QQ, PrimeField, distinct_root_count
 from wps.oracle import scan_curve_points
 from wps.parser import parse_polynomial
 from wps.truncation import graded_piece_basis
 from wps.weights import is_well_formed
 from wps.wpoly import WPolynomial, reduce_mod, restrict_to_edge, variable_names
+
+import rational_euclid
 
 
 def curve(text, weight):
@@ -136,22 +137,23 @@ def test_straight_cover():
     assert cover.poly == parse_polynomial("x^4 + y^4 + z^4 + x*y*z^2", (1, 1, 1))
 
 
+def _edge_strings(c):
+    cover = straight_cover(c).poly
+    return [restrict_to_edge(cover, i).to_string() for i in range(3)]
+
+
 def test_edge_squarefree_check():
-    ok, rows = edge_squarefree_check(QUARTIC)
-    assert ok
-    assert [r["poly"].to_string() for r in rows] == ["1 + t^4", "1 + t^4", "1 + t^4"]
-    ok, rows = edge_squarefree_check(curve("x^4 + y^4 + x^2*z", (1, 1, 2)))
-    assert not ok
-    assert [(r["poly"].to_string(), r["squarefree"]) for r in rows] == [
-        ("1", True),
-        ("t^2 + t^4", False),
-        ("1 + t^4", True),
-    ]
+    assert _edge_strings(QUARTIC) == ["1 + t^4", "1 + t^4", "1 + t^4"]
+    assert all(row["squarefree"] for row in branch_census(QUARTIC)["edges"])
+    c = curve("x^4 + y^4 + z^2 + 2*x^2*z", (1, 1, 2))
+    assert _edge_strings(c) == ["1 + t^4", "1 + 2*t^2 + t^4", "1 + t^4"]
+    assert [(r["squarefree"], r["count"]) for r in branch_census(c)["edges"]] == [(True, 4), (False, 2), (True, 4)]
 
 
 def test_edge_squarefree_degenerate():
+    # sufficiently general, but every term has x: edge 0 is identically zero
     with pytest.raises(DegenerateEdge, match="edge 0 restriction is identically zero"):
-        edge_squarefree_check(curve("x*y*z", (1, 1, 1)))
+        branch_census(curve("x^7 + x*y^3 + x*z^2", (1, 2, 3)))
 
 
 # === the branch census ===
@@ -315,15 +317,14 @@ def test_point_counts_obey_hasse_weil():
     while curves < 40:
         d, a = rng.choice(instances)
         c = _general_sweep_curve(rng, a, d)
-        try:
-            edges = [row["poly"] for row in edge_squarefree_check(c)[1]]
-        except DegenerateEdge:
+        edges = [restrict_to_edge(straight_cover(c).poly, i) for i in range(3)]
+        if any(g.is_zero() for g in edges):
             continue
         curves += 1
         g = genus(d, a)
         for p in (11, 13, 101):
             report = scan_curve_points(c, p)
-            reduced = [row["poly"] for row in edge_squarefree_check(PlaneCurve(reduce_mod(c.poly, p)))[1]]
+            reduced = [restrict_to_edge(straight_cover(PlaneCurve(reduce_mod(c.poly, p))).poly, i) for i in range(3)]
             lost = any(distinct_root_count(r) < distinct_root_count(e) for r, e in zip(reduced, edges))
             if d % p == 0 or report["singular_points"] or lost:
                 continue
@@ -404,7 +405,7 @@ def _ref_least_solution(step, target, mod, start=0):
 
 
 def _ref_squarefree(g):
-    return g.degree() == 0 or upoly_gcd(g, g.derivative()).degree() == 0
+    return g.degree() == 0 or rational_euclid.gcd(g, rational_euclid.derivative(g)).degree() == 0
 
 
 def _ref_edge_point_count(d, a, i):
@@ -423,24 +424,13 @@ def _ref_branch_census(c):
         g = restrict_to_edge(cover, i)
         if g.is_zero():
             raise DegenerateEdge(f"edge {i} restriction is identically zero")
-        count = distinct_root_count(g) - (g.constant() == g.field.zero)
+        count = rational_euclid.distinct_roots(g) - (g.constant() == g.field.zero)
         predicted = _ref_edge_point_count(d, a, i)
         edges.append(
             {"i": i, "count": count, "predicted": predicted, "agree": count == predicted,
              "squarefree": _ref_squarefree(g)}
         )
     return {"d": d, "weights": list(a), "edges": edges, "vertices": list(vertex_membership(c))}
-
-
-def _ref_edge_squarefree_check(c):
-    cover = straight_cover(c).poly
-    rows = []
-    for i in range(3):
-        g = restrict_to_edge(cover, i)
-        if g.is_zero():
-            raise DegenerateEdge(f"edge {i} restriction is identically zero")
-        rows.append({"i": i, "poly": g, "squarefree": _ref_squarefree(g)})
-    return all(r["squarefree"] for r in rows), rows
 
 
 def _ref_sweep_instances(max_entry, max_degree):
@@ -495,7 +485,6 @@ def test_curves_match_reference_loops():
         assert numeric_constraint_violations(c.degree, c.weight) == _ref_numeric(c.degree, c.weight)
         census = _outcome(_ref_branch_census, c)
         assert _outcome(branch_census, c) == census, c
-        assert _outcome(edge_squarefree_check, c) == _outcome(_ref_edge_squarefree_check, c)
         seen[general[0] == "ok" and general[1][0], census[0]] += 1
     # every branch is exercised: general curves with and without a degenerate
     # edge, curves that fail a clause, and weights that are not well-formed

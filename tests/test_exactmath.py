@@ -14,8 +14,9 @@ from wps.exactmath import (
     fp_roots,
     is_prime,
     prime_factors,
-    upoly_gcd,
 )
+
+import rational_euclid
 
 # === primality and factoring ===
 
@@ -189,19 +190,19 @@ def test_upoly_ring_ops():
 def test_upoly_divmod_exact_and_remainder():
     f = _upoly(QQ, -1, 0, 0, 0, 0, 0, 1)  # t^6 - 1
     g = _upoly(QQ, -1, 1)
-    q, r = divmod(f, g)
+    q, r = rational_euclid.divide(f, g)
     assert r.is_zero()
     assert q == _upoly(QQ, 1, 1, 1, 1, 1, 1)
-    q2, r2 = divmod(_upoly(QQ, 1, 0, 1), _upoly(QQ, 1, 1))
+    q2, r2 = rational_euclid.divide(_upoly(QQ, 1, 0, 1), _upoly(QQ, 1, 1))
     assert q2 * _upoly(QQ, 1, 1) + r2 == _upoly(QQ, 1, 0, 1)
     with pytest.raises(ZeroPolynomial):
-        divmod(f, UPolynomial.zero(QQ))
+        rational_euclid.divide(f, UPolynomial.zero(QQ))
 
 
 def test_upoly_eval_and_derivative():
     f = _upoly(QQ, 2, -3, 1)  # 2 - 3t + t^2 = (t-1)(t-2)
     assert f(1) == 0 and f(2) == 0 and f(0) == 2
-    assert f.derivative() == _upoly(QQ, -3, 2)
+    assert rational_euclid.derivative(f) == _upoly(QQ, -3, 2)
 
 
 def test_upoly_random_ring_identities():
@@ -213,7 +214,7 @@ def test_upoly_random_ring_identities():
         assert f * (g + h) == f * g + f * h
         assert (f + g) * h == f * h + g * h
         if not g.is_zero():
-            q, r = divmod(f, g)
+            q, r = rational_euclid.divide(f, g)
             assert q * g + r == f
             assert r.is_zero() or r.degree() < g.degree()
 
@@ -232,16 +233,16 @@ def test_upoly_to_string():
 def test_gcd_monic_and_zero_cases():
     f = _upoly(QQ, -1, 0, 1)  # (t-1)(t+1)
     g = _upoly(QQ, -1, 1)
-    assert upoly_gcd(f, g) == _upoly(QQ, -1, 1)
-    assert upoly_gcd(f, UPolynomial.zero(QQ)) == f.monic()
-    assert upoly_gcd(UPolynomial.zero(QQ), UPolynomial.zero(QQ)).is_zero()
+    assert rational_euclid.gcd(f, g) == _upoly(QQ, -1, 1)
+    assert rational_euclid.gcd(f, UPolynomial.zero(QQ)) == rational_euclid.monic(f)
+    assert rational_euclid.gcd(UPolynomial.zero(QQ), UPolynomial.zero(QQ)).is_zero()
     with pytest.raises(FieldMismatch):
-        upoly_gcd(f, _upoly(PrimeField(5), 1, 1))
+        rational_euclid.gcd(f, _upoly(PrimeField(5), 1, 1))
 
 
 def test_gcd_detects_repeated_factor():
     f = _upoly(QQ, 1, 1) ** 2 * _upoly(QQ, -2, 1)
-    g = upoly_gcd(f, f.derivative())
+    g = rational_euclid.gcd(f, rational_euclid.derivative(f))
     assert g == _upoly(QQ, 1, 1), "the squared factor survives in gcd(f, f')"
 
 
@@ -315,4 +316,63 @@ def test_distinct_root_count_unchanged_below_p():
             f = f * _upoly(field, -r, 1) ** rng.randrange(1, p)
         non_residues = sorted(set(range(1, p)) - {v * v % p for v in range(1, p)})
         f = f * _upoly(field, -rng.choice(non_residues), 0, 1) ** rng.randrange(0, p)
-        assert distinct_root_count(f) == (f // upoly_gcd(f, f.derivative())).degree(), (p, f.coeffs)
+        sqf = rational_euclid.divide(f, rational_euclid.gcd(f, rational_euclid.derivative(f)))[0]
+        assert distinct_root_count(f) == sqf.degree(), (p, f.coeffs)
+
+
+# === the int kernel against the rational Euclid and known counts ===
+
+
+def _random_edge(rng, field, p):
+    """A random polynomial shaped like an edge restriction: a product of
+    random factors, some repeated (p-fold too over F_p), times t^k now and then."""
+    coeff = (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))) if field == QQ else (lambda: rng.randrange(p))
+    f = _upoly(field, 1)
+    for _ in range(rng.randint(1, 3)):
+        factor = UPolynomial(field, [coeff() for _ in range(rng.randint(1, 3))] + [coeff() or 1])
+        f = f * factor ** rng.choice([1, 1, 2, 3, p if 0 < p < 10 else 2])
+    return f * _upoly(field, 0, 1) ** rng.choice([0, 0, 1, 3])
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 7, 101])
+def test_kernel_matches_rational_euclid(p):
+    rng = random.Random(1971 + p)
+    field = PrimeField(p) if p else QQ
+    checked = repeated = 0
+    while checked < 500:
+        f = _random_edge(rng, field, p)
+        if f.is_zero():
+            continue
+        checked += 1
+        count = distinct_root_count(f)
+        assert count == rational_euclid.distinct_roots(f), (p, f.coeffs)
+        repeated += count < f.degree()
+    assert repeated >= 100, repeated
+
+
+def test_kernel_counts_products_of_linear_factors():
+    # degree >= 40: distinct rational roots r/s with chosen multiplicities, times a rational scalar
+    rng = random.Random(40)
+    for _ in range(40):
+        roots = rng.sample(sorted({Fraction(r, s) for r in range(-30, 31) for s in (1, 2, 3, 7)}), rng.randint(1, 12))
+        mults = [rng.randint(1, 6) for _ in roots]
+        while sum(mults) < 40:
+            mults[rng.randrange(len(mults))] += rng.randint(1, 5)
+        f = _upoly(QQ, Fraction(rng.randint(1, 99) * rng.choice([-1, 1]), rng.randint(1, 99)))
+        for r, m in zip(roots, mults):
+            f = f * _upoly(QQ, -r.numerator, r.denominator) ** m
+        assert f.degree() == sum(mults) >= 40
+        assert distinct_root_count(f) == len(roots), (roots, mults)
+
+
+@pytest.mark.parametrize("p", [0, 3, 7])
+def test_kernel_counts_the_root_at_zero_once(p):
+    # t^k h(t), h(0) != 0: one root more than h, whatever k; the census subtracts it
+    rng = random.Random(p)
+    field = PrimeField(p) if p else QQ
+    for _ in range(100):
+        h = _random_edge(rng, field, p)
+        if h.is_zero() or h.constant() == field.zero:
+            continue
+        k = rng.randint(1, 12)
+        assert distinct_root_count(_upoly(field, *[0] * k, 1) * h) == distinct_root_count(h) + 1

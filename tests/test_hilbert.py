@@ -22,6 +22,8 @@ from wps.hilbert import (
 from wps.parser import parse_upolynomial
 from wps.truncation import graded_piece_basis
 
+import rational_euclid
+
 ELLIPTIC = EllSequence(genus=1, divisor_degree=1)
 
 
@@ -232,7 +234,7 @@ def _product_numerator(degrees):
 
 
 def _divmod_relation_degrees(num):
-    """ci_relation_degrees by repeated UPolynomial divmod."""
+    """ci_relation_degrees by repeated division with remainder over QQ."""
     if num.is_zero() or Fraction(num.constant()) != 1:
         return None
     out, cur = [], num
@@ -241,7 +243,7 @@ def _divmod_relation_degrees(num):
         d = next(k for k in range(1, len(coeffs)) if coeffs[k] != 0)
         if coeffs[d] > 0:
             return None
-        cur, r = divmod(cur, UPolynomial(QQ, [1] + [0] * (d - 1) + [-1]))
+        cur, r = rational_euclid.divide(cur, UPolynomial(QQ, [1] + [0] * (d - 1) + [-1]))
         if not r.is_zero():
             return None
         out.append(d)
