@@ -31,8 +31,8 @@ from .exactmath import (
     FpElem,
     PrimeField,
     RationalField,
-    UPolynomial,
     distinct_root_count,
+    upoly_string,
 )
 from .weights import (
     Weight,

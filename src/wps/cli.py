@@ -22,7 +22,7 @@ from .curves import (
     vertex_membership,
 )
 from .errors import ParseError, WPSError, check_length
-from .exactmath import QQ, PrimeField
+from .exactmath import QQ, PrimeField, upoly_string
 from .geometry import WPoint, eq_geometric, eq_rational
 from .hilbert import (
     EllSequence,
@@ -243,7 +243,8 @@ def cmd_hilbert_numerator(args, parser):
     e = EllSequence(args.genus, args.deg, dict(args.override or []))
     bound = args.n if args.n is not None else numerator_degree_bound(e, args.weights)
     num = numerator_from_sequence(e, args.weights, bound)
-    lines = [num.to_string()]
+    text = upoly_string(num)
+    lines = [text]
     degrees = ci_relation_degrees(num)
     if degrees is not None:
         lines.append(f"relation degrees: {','.join(str(d) for d in degrees)}")
@@ -251,7 +252,7 @@ def cmd_hilbert_numerator(args, parser):
         "weights": list(args.weights),
         "genus": args.genus,
         "deg": args.deg,
-        "numerator": num.to_string(),
+        "numerator": text,
         "relation_degrees": degrees,
     }
     return True, lines, data
@@ -260,7 +261,7 @@ def cmd_hilbert_numerator(args, parser):
 def cmd_hilbert_table(args, parser):
     e = EllSequence(args.genus, args.deg, dict(args.override or []))
     report = embedding_report(e, args.row or _DEFAULT_TABLE_ROWS, max_degree=args.n)
-    out_rows = [dict(row, weights=list(row["weights"]), numerator=row["numerator"].to_string()) for row in report]
+    out_rows = [dict(row, weights=list(row["weights"]), numerator=upoly_string(row["numerator"])) for row in report]
     lines = [
         f"k={row['k']} weights={_fmt_weight(row['weights'])} numerator={row['numerator']} relations="
         + ("-" if row["relation_degrees"] is None else ",".join(map(str, row["relation_degrees"])))

@@ -20,7 +20,7 @@ from .errors import (
     NotWellFormed,
     check_work,
 )
-from .exactmath import UPolynomial, distinct_root_count
+from .exactmath import distinct_root_count
 from .weights import Weight, check_weight, is_well_formed
 from .wpoly import (
     WPolynomial,
@@ -137,8 +137,8 @@ def straight_cover(c: PlaneCurve) -> PlaneCurve:
     return PlaneCurve(power_substitute(c.poly))
 
 
-def _edges(c: PlaneCurve) -> list[UPolynomial]:
-    """The three edge restrictions of the straight cover; none may be zero.
+def _edges(c: PlaneCurve) -> list[list]:
+    """The three edge restrictions of the straight cover, as coefficient lists; none may be zero.
     Each has degree <= d; a remainder sequence that drops one degree a step
     takes about d^2 steps on it, so 3 d^2 is checked up front, and
     `distinct_root_count` counts every step as it goes."""
@@ -146,7 +146,7 @@ def _edges(c: PlaneCurve) -> list[UPolynomial]:
     cover = straight_cover(c).poly
     edges = [restrict_to_edge(cover, i) for i in range(3)]
     for i, g in enumerate(edges):
-        if g.is_zero():
+        if not g:
             raise DegenerateEdge(f"edge {i} restriction is identically zero")
     return edges
 
@@ -276,11 +276,11 @@ def branch_census(c: PlaneCurve) -> dict:
     d, a = c.degree, c.weight
     edges, spent = [], [0]
     for i, g in enumerate(_edges(c)):
-        roots = distinct_root_count(g, spent)
-        count = roots - 1 if g.constant() == g.field.zero else roots
+        roots = distinct_root_count(g, c.poly.field, spent)
+        count = roots - 1 if not g[0] else roots
         predicted = edge_point_count(d, a, i)
         edges.append(
-            dict(i=i, count=count, predicted=predicted, agree=count == predicted, squarefree=roots == g.degree())
+            dict(i=i, count=count, predicted=predicted, agree=count == predicted, squarefree=roots == len(g) - 1)
         )
     return {"d": d, "weights": list(a), "edges": edges, "vertices": vertices}
 

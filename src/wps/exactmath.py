@@ -1,7 +1,9 @@
-"""Exact scalar and univariate-polynomial arithmetic.
+"""Exact scalar arithmetic and distinct-root counts of univariate polynomials.
 
 Two coefficient fields are supported: the rationals (stdlib Fraction) and
-prime fields F_p.  Both are exact; there is no floating point anywhere.
+prime fields F_p.  Both are exact; there is no floating point anywhere.  A
+univariate polynomial is a dense coefficient list, constant first, with no
+trailing zeros; the empty list is the zero polynomial.
 """
 
 from __future__ import annotations
@@ -303,31 +305,17 @@ class FpElem:
         return str(self.value)
 
 
-def _power(one, base, n: int):
-    """base**n by square-and-multiply from the identity `one`: a product per
-    set bit of n and a square per bit below the top one."""
-    if n < 0:
-        raise ValueError("negative polynomial power")
-    out = one
-    while n:
-        if n & 1:
-            out = out * base
-        n >>= 1
-        if n:
-            base = base * base
-    return out
-
-
 def _terms_string(field, terms: list) -> str:
     """Text of a sum of (coefficient, monomial) terms in the given order,
     e.g. '1 - t^6': the monomial '1' prints as its coefficient, a unit
-    coefficient is left out, and a negative rational one turns the sign
-    before its term.  Rational coefficients pass check_digits before any
-    is written in decimal."""
-    check_digits((c for c, _ in terms) if field == QQ else (), "a coefficient of the polynomial")
+    coefficient is left out, and a negative rational or int one turns the
+    sign before its term.  Rational coefficients pass check_digits before
+    any is written in decimal."""
+    rational = field == QQ
+    check_digits((c for c, _ in terms) if rational else (), "a coefficient of the polynomial")
     parts: list[str] = []
     for c, mono in terms:
-        neg = isinstance(c, Fraction) and c < 0
+        neg = rational and c < 0
         mag = -c if neg else c
         body = str(mag) if mono == "1" else mono if mag == field.one else f"{mag}*{mono}"
         sign = ("- " if neg else "+ ") if parts else ("-" if neg else "")
@@ -335,116 +323,29 @@ def _terms_string(field, terms: list) -> str:
     return " ".join(parts) or "0"
 
 
-class UPolynomial:
-    """Dense univariate polynomial over QQ or a PrimeField, constant term first."""
-
-    def __init__(self, field, coeffs=()):
-        self.field = field
-        cs = [field.coerce(c) for c in coeffs]
-        while cs and cs[-1] == field.zero:
-            cs.pop()
-        self.coeffs = cs
-
-    @classmethod
-    def zero(cls, field) -> "UPolynomial":
-        return cls(field, ())
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        if self.is_zero():
-            raise ZeroPolynomial("the zero polynomial has no degree")
-        return len(self.coeffs) - 1
-
-    def constant(self):
-        return self.coeffs[0] if self.coeffs else self.field.zero
-
-    def _check_field(self, other: "UPolynomial") -> None:
-        if self.field != other.field:
-            raise FieldMismatch(f"polynomials over {self.field} and {other.field}")
-
-    def __add__(self, other: "UPolynomial") -> "UPolynomial":
-        self._check_field(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero
-        a = self.coeffs + [z] * (n - len(self.coeffs))
-        b = other.coeffs + [z] * (n - len(other.coeffs))
-        return UPolynomial(self.field, [x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other: "UPolynomial") -> "UPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "UPolynomial":
-        return UPolynomial(self.field, [-c for c in self.coeffs])
-
-    def __mul__(self, other) -> "UPolynomial":
-        if not isinstance(other, UPolynomial):
-            return self.scale(other)
-        self._check_field(other)
-        if self.is_zero() or other.is_zero():
-            return UPolynomial.zero(self.field)
-        z = self.field.zero
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == z:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UPolynomial(self.field, out)
-
-    def __rmul__(self, other) -> "UPolynomial":
-        return self.scale(other)
-
-    def scale(self, c) -> "UPolynomial":
-        c = self.field.coerce(c)
-        return UPolynomial(self.field, [c * a for a in self.coeffs])
-
-    def __pow__(self, n: int) -> "UPolynomial":
-        return _power(UPolynomial(self.field, [1]), self, n)
-
-    def __call__(self, x):
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UPolynomial)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, tuple(self.coeffs)))
-
-    def to_string(self) -> str:
-        """Human form in ascending powers of t, e.g. '1 - t^6'."""
-        z = self.field.zero
-        terms = [(c, "1" if i == 0 else "t" if i == 1 else f"t^{i}") for i, c in enumerate(self.coeffs) if c != z]
-        return _terms_string(self.field, terms)
-
-    def __repr__(self) -> str:
-        return f"UPolynomial({self.to_string()})"
+def upoly_string(coeffs: list) -> str:
+    """Human form of a rational or int coefficient list, constant first, in
+    ascending powers of t, e.g. [1, 0, -2] -> '1 - 2*t^2'."""
+    return _terms_string(QQ, [(c, "1" if i == 0 else "t" if i == 1 else f"t^{i}") for i, c in enumerate(coeffs) if c])
 
 
-def distinct_root_count(g: UPolynomial, spent: list[int] | None = None) -> int:
-    """Number of distinct roots of g in the algebraic closure, counted on int lists (a rational g
-    with its denominators cleared, an F_p one as residues).  The steps go to spent[0], a running
+def distinct_root_count(coeffs: list, field, spent: list[int] | None = None) -> int:
+    """Number of distinct roots in the algebraic closure of the polynomial with these field
+    coefficients (constant first, no trailing zeros), counted on int lists (rational ones with
+    their denominators cleared, F_p ones as residues).  The steps go to spent[0], a running
     total the calls of one request may share, checked against WORK_LIMIT as they go."""
-    if g.is_zero():
+    if not coeffs:
         raise ZeroPolynomial("root count of the zero polynomial")
     spent = [0] if spent is None else spent
-    p = g.field.p if isinstance(g.field, PrimeField) else 0
+    p = field.p if isinstance(field, PrimeField) else 0
     if p:
-        ints = [c.value for c in g.coeffs]
+        ints = [c.value for c in coeffs]
     else:
         den = 1
-        for c in g.coeffs:
+        for c in coeffs:
             _spend(spent, 1, den.bit_length() + c.denominator.bit_length())
             den = lcm(den, c.denominator)
-        ints = [c.numerator * (den // c.denominator) for c in g.coeffs]
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
     return _distinct_roots(_normal(ints[::-1], p, spent), p, spent)
 
 

@@ -5,10 +5,8 @@ numerator report.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import AmbiguousLowDegree, NumeratorNotPolynomial, check_digits, check_work
-from .exactmath import QQ, UPolynomial, height
+from .exactmath import upoly_string
 from .weights import check_weight
 
 
@@ -20,29 +18,27 @@ def _times(c: list[int], a: int, e: int) -> None:
         c[k] -= e * c[k - a]
 
 
-def _int_coeffs(num: UPolynomial) -> list[int]:
-    out = []
-    for c in num.coeffs:
-        f = Fraction(c)
-        if f.denominator != 1:
-            raise ValueError(f"numerator coefficient {c} is not an integer")
-        out.append(f.numerator)
-    return out
-
-
 class HilbertSeries:
-    """Integer numerator polynomial over the denominator prod(1 - t^{a_i})."""
+    """Integer numerator polynomial over the denominator prod(1 - t^{a_i}).
 
-    def __init__(self, numerator: UPolynomial, denominator_weights):
-        self.numerator = numerator
+    The numerator is a coefficient list, constant first, kept with no
+    trailing zeros; rationals with denominator 1 are accepted and stored as
+    ints."""
+
+    def __init__(self, numerator, denominator_weights):
+        bad = next((c for c in numerator if c.denominator != 1), None)
+        if bad is not None:
+            raise ValueError(f"numerator coefficient {bad} is not an integer")
+        self.numerator = [c.numerator for c in numerator]
+        while self.numerator and not self.numerator[-1]:
+            self.numerator.pop()
         self.denominator_weights = check_weight(denominator_weights, 1)
-        self.int_coeffs = _int_coeffs(numerator)  # invariant: integer coefficients
 
     def expand(self, n: int) -> list[int]:
         return expand(self, n)
 
     def to_string(self) -> str:
-        num = self.numerator.to_string()
+        num = upoly_string(self.numerator)
         if " " in num:
             num = f"({num})"
         den = "".join(
@@ -70,8 +66,8 @@ def expand(s: HilbertSeries, n: int) -> list[int]:
     """
     if n < 0:
         raise ValueError("expansion length must be non-negative")
-    num, a = s.int_coeffs, s.denominator_weights
-    words = max(1, -(-max(map(height, num), default=0) // 64))
+    num, a = s.numerator, s.denominator_weights
+    words = max(1, -(-max(map(abs, num), default=0).bit_length() // 64))
     what = f"series expansion to degree {n}" + (f" with {words}-word coefficients" if words > 1 else "")
     check_work(len(a) * (n + 1) * words, what)
     c = num[: n + 1] + [0] * max(0, n + 1 - len(num))
@@ -132,8 +128,8 @@ class EllSequence:
     __call__ = value
 
 
-def numerator_from_sequence(coeffs, a, max_degree: int) -> UPolynomial:
-    """Recover N(t) = (sum c_n t^n) * prod(1 - t^{a_i}) as a polynomial.
+def numerator_from_sequence(coeffs, a, max_degree: int) -> list[int]:
+    """Recover N(t) = (sum c_n t^n) * prod(1 - t^{a_i}) as a coefficient list.
 
     The product is probed up to max_degree + sum(a), one pass over the
     horizon + 1 coefficients per weight; any nonzero coefficient beyond
@@ -149,7 +145,10 @@ def numerator_from_sequence(coeffs, a, max_degree: int) -> UPolynomial:
     k = next((k for k in range(max_degree + 1, horizon + 1) if c[k]), None)
     if k is not None:
         raise NumeratorNotPolynomial(f"product still has a t^{k} term beyond degree {max_degree}")
-    return UPolynomial(QQ, c[: max_degree + 1])
+    del c[max_degree + 1 :]
+    while c and not c[-1]:
+        c.pop()
+    return c
 
 
 def complete_intersection_series(a, relation_degrees) -> HilbertSeries:
@@ -164,10 +163,10 @@ def complete_intersection_series(a, relation_degrees) -> HilbertSeries:
     c = [1] + [0] * top
     for d in degrees:
         _times(c, d, 1)
-    return HilbertSeries(UPolynomial(QQ, c), a)
+    return HilbertSeries(c, a)
 
 
-def ci_relation_degrees(num: UPolynomial) -> list[int] | None:
+def ci_relation_degrees(num: list[int]) -> list[int] | None:
     """Degrees d_j if num = prod(1 - t^{d_j}); None if it does not factor so.
 
     The least d >= 1 with a nonzero coefficient is the least d_j, with a
@@ -175,9 +174,11 @@ def ci_relation_degrees(num: UPolynomial) -> list[int] | None:
     iff the top d coefficients come out zero; it leaves t^1..t^(d-1) at zero,
     so the next d_j is sought from d up.  Passes are counted as they go.
     """
-    if not num.coeffs or Fraction(num.coeffs[0]) != 1:
+    c = list(num)
+    while c and not c[-1]:
+        c.pop()
+    if not c or c[0] != 1:
         return None
-    c = _int_coeffs(num)
     what = f"relation degrees of a degree-{len(c) - 1} numerator"
     out: list[int] = []
     d, steps = 1, 0

@@ -200,21 +200,18 @@ def parse_polynomial(text: str, weight: Weight, field=QQ) -> WPolynomial:
     return _Parser(text, weight, field).parse()
 
 
-def parse_upolynomial(text: str, field=QQ):
-    """Parse a univariate polynomial in t, e.g. '1 - t^6'."""
-    parser = _Parser(text, (1,), field)
+def parse_upolynomial(text: str) -> list[Fraction]:
+    """Parse a univariate polynomial in t, e.g. '1 - t^6', into its dense list
+    of rational coefficients, constant first, no trailing zeros."""
+    parser = _Parser(text, (1,), QQ)
     parser.names = ["t"]
-    poly = parser.parse()
-    from .exactmath import UPolynomial
-
-    if poly.is_zero():
-        return UPolynomial.zero(field)
-    top = max(e[0] for e in poly.terms)
+    terms = parser.parse().terms
+    top = max((e[0] for e in terms), default=-1)
     check_work(top + 1, f"dense polynomial of degree {top}")
-    coeffs = [field.zero] * (top + 1)
-    for e, c in poly.terms.items():
+    coeffs = [QQ.zero] * (top + 1)
+    for e, c in terms.items():
         coeffs[e[0]] = c
-    return UPolynomial(field, coeffs)
+    return coeffs
 
 
 def parse_point_coords(text: str, field, expected: int) -> list:

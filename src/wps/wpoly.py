@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import comb
 
 from .errors import FieldMismatch, NotHomogeneous, ZeroPolynomial
-from .exactmath import QQ, PrimeField, UPolynomial, _power, _terms_string, height
+from .exactmath import QQ, PrimeField, _terms_string, height
 from .weights import Weight
 
 Monomial = tuple[int, ...]
@@ -54,6 +54,21 @@ def power_steps(f: "WPolynomial", m: int) -> int:
     h = 1 if isinstance(f.field, PrimeField) else max(map(height, f.terms.values()), default=0)
     b = comb(m + t - 1, t - 1) if t else 0
     return b * (b + m * h)
+
+
+def _power(one, base, n: int):
+    """base**n by square-and-multiply from the identity `one`: a product per
+    set bit of n and a square per bit below the top one."""
+    if n < 0:
+        raise ValueError("negative polynomial power")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 class WPolynomial:
@@ -228,25 +243,22 @@ def power_substitute(f: WPolynomial) -> WPolynomial:
     return WPolynomial(straight, f.field, out)
 
 
-def restrict_to_edge(f: WPolynomial, i: int) -> UPolynomial:
-    """Set x_i = 0, x_{i+1} = 1, x_{i+2} = lambda (indices mod 3)."""
+def restrict_to_edge(f: WPolynomial, i: int) -> list:
+    """Set x_i = 0, x_{i+1} = 1, x_{i+2} = lambda (indices mod 3): the field
+    coefficients of the result in lambda, constant first, no trailing zeros."""
     if f.nvars() != 3:
         raise ValueError("edge restriction is defined for 3 variables")
     if not 0 <= i < 3:
         raise ValueError(f"edge index {i} out of range")
     lam = (i + 2) % 3
-    coeffs: dict[int, object] = {}
     z = f.field.zero
+    coeffs = [z] * (1 + max((e[lam] for e in f.terms if e[i] == 0), default=-1))
     for e, c in f.terms.items():
-        if e[i] != 0:
-            continue
-        k = e[lam]
-        s = coeffs.get(k, z) + c
-        coeffs[k] = s
-    if not coeffs:
-        return UPolynomial.zero(f.field)
-    top = max(coeffs)
-    return UPolynomial(f.field, [coeffs.get(k, z) for k in range(top + 1)])
+        if e[i] == 0:
+            coeffs[e[lam]] += c
+    while coeffs and coeffs[-1] == z:
+        coeffs.pop()
+    return coeffs
 
 
 def reduce_mod(f: WPolynomial, p: int) -> WPolynomial:

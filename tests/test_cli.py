@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+import shlex
 import signal
 import sys
 import time
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wps.cli import main
+from wps.hilbert import complete_intersection_series
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "cli-schema.json").read_text())
@@ -325,6 +327,33 @@ def test_oracle_run_missing_file(capsys):
     assert err and err[0].startswith("error[E_IO]:")
 
 
+def _readme_transcripts():
+    """(command line, stdout lines) of each `$ wps ...` transcript in the fenced blocks of
+    README.md; its output runs to the next blank line or fence."""
+    out, current, fenced = [], None, False
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            fenced, current = not fenced, None
+        elif fenced and line.startswith("$ wps "):
+            current = []
+            out.append((line[len("$ wps ") :], current))
+        elif not line:
+            current = None
+        elif current is not None:
+            current.append(line)
+    return out
+
+
+README_TRANSCRIPTS = _readme_transcripts()
+
+
+@pytest.mark.parametrize("command, expected", README_TRANSCRIPTS, ids=[c for c, _ in README_TRANSCRIPTS])
+def test_readme_transcripts(capsys, command, expected):
+    code, out, err = run(capsys, *shlex.split(command))
+    assert (code, err) == (0, [])
+    assert out == expected
+
+
 # === exit codes ===
 
 
@@ -604,6 +633,16 @@ def test_requests_under_the_budget_still_answer(capsys, tmp_path):
     assert code == 0 and out[-3:] == [f"  edge {i}: count=60 predicted=60 agree=yes squarefree=yes" for i in range(3)]
     code, out, _ = run(capsys, "check", "--census", "--weights", "1,1,1", "--poly", "x^288+y^288+z^288")
     assert code == 0 and out[-1] == "  edge 2: count=288 predicted=288 agree=yes squarefree=yes"
+    # dense numerators of 250,000 coefficients just under the limit: 1.2 s and 0.6 s when each
+    # int went through a Fraction and back
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "hilbert", "expand", "--weights", "1,1", "--numerator", "((t)^14)^17857", "-N", "10")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out == [" ".join(["0"] * 11)]
+    start = time.perf_counter()
+    series = complete_intersection_series((1, 1), [249999])
+    assert time.perf_counter() - start < 1.0
+    assert series.numerator == [1] + [0] * 249998 + [-1]
 
 
 def test_prime_steps_split_a_gcd_of_two_large_primes(capsys):

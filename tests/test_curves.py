@@ -34,7 +34,7 @@ from wps.curves import (
     sweep_instances,
     vertex_membership,
 )
-from wps.exactmath import QQ, PrimeField, distinct_root_count
+from wps.exactmath import QQ, PrimeField, distinct_root_count, upoly_string
 from wps.oracle import scan_curve_points
 from wps.parser import parse_polynomial
 from wps.truncation import graded_piece_basis
@@ -139,7 +139,7 @@ def test_straight_cover():
 
 def _edge_strings(c):
     cover = straight_cover(c).poly
-    return [restrict_to_edge(cover, i).to_string() for i in range(3)]
+    return [upoly_string(restrict_to_edge(cover, i)) for i in range(3)]
 
 
 def test_edge_squarefree_check():
@@ -318,14 +318,15 @@ def test_point_counts_obey_hasse_weil():
         d, a = rng.choice(instances)
         c = _general_sweep_curve(rng, a, d)
         edges = [restrict_to_edge(straight_cover(c).poly, i) for i in range(3)]
-        if any(g.is_zero() for g in edges):
+        if not all(edges):
             continue
         curves += 1
         g = genus(d, a)
         for p in (11, 13, 101):
             report = scan_curve_points(c, p)
             reduced = [restrict_to_edge(straight_cover(PlaneCurve(reduce_mod(c.poly, p))).poly, i) for i in range(3)]
-            lost = any(distinct_root_count(r) < distinct_root_count(e) for r, e in zip(reduced, edges))
+            fp = PrimeField(p)
+            lost = any(distinct_root_count(r, fp) < distinct_root_count(e, QQ) for r, e in zip(reduced, edges))
             if d % p == 0 or report["singular_points"] or lost:
                 continue
             checked += 1
@@ -405,7 +406,7 @@ def _ref_least_solution(step, target, mod, start=0):
 
 
 def _ref_squarefree(g):
-    return g.degree() == 0 or rational_euclid.gcd(g, rational_euclid.derivative(g)).degree() == 0
+    return len(g[1]) == 1 or len(rational_euclid.gcd(g, rational_euclid.derivative(g))[1]) == 1
 
 
 def _ref_edge_point_count(d, a, i):
@@ -421,10 +422,10 @@ def _ref_branch_census(c):
     d, a = c.degree, c.weight
     edges = []
     for i in range(3):
-        g = restrict_to_edge(cover, i)
-        if g.is_zero():
+        g = rational_euclid.poly(cover.field, restrict_to_edge(cover, i))
+        if not g[1]:
             raise DegenerateEdge(f"edge {i} restriction is identically zero")
-        count = rational_euclid.distinct_roots(g) - (g.constant() == g.field.zero)
+        count = rational_euclid.distinct_roots(g) - (g[1][0] == cover.field.zero)
         predicted = _ref_edge_point_count(d, a, i)
         edges.append(
             {"i": i, "count": count, "predicted": predicted, "agree": count == predicted,

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wps.errors import ParseError, TooLarge, UnknownVariable
-from wps.exactmath import PrimeField, QQ, UPolynomial
+from wps.exactmath import PrimeField, QQ, upoly_string
 from wps.parser import parse_point_coords, parse_polynomial, parse_upolynomial
 from wps.truncation import graded_piece_basis
 from wps.wpoly import WPolynomial
@@ -107,11 +107,11 @@ def test_unknown_variable():
 
 def test_parse_upolynomial():
     u = parse_upolynomial("1 - t^6")
-    assert u.to_string() == "1 - t^6"
-    assert u.degree() == 6
-    assert parse_upolynomial("0").is_zero()
-    v = parse_upolynomial("t^2*(1 - t)", PrimeField(5))
-    assert v == UPolynomial(PrimeField(5), [0, 0, 1, -1])
+    assert upoly_string(u) == "1 - t^6"
+    assert len(u) - 1 == 6
+    assert parse_upolynomial("0") == []
+    assert parse_upolynomial("t^2*(1 - t)") == [0, 0, 1, -1]
+    assert parse_upolynomial("1/2 - t") == [Fraction(1, 2), -1]
     with pytest.raises(UnknownVariable):
         parse_upolynomial("1 - x^6")
 
@@ -172,4 +172,4 @@ def test_nested_powers_are_counted_where_they_turn_dense():
     # (t^14)^180383 is 180,397 parser steps but a dense polynomial of degree 2,525,362
     with pytest.raises(TooLarge, match="dense polynomial of degree 2525362 exceeds the work limit"):
         parse_upolynomial("((t)^14)^180383")
-    assert parse_upolynomial("((t)^14)^17857").degree() == 249998
+    assert len(parse_upolynomial("((t)^14)^17857")) - 1 == 249998

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wps.errors import FieldMismatch, NotHomogeneous, ZeroPolynomial
-from wps.exactmath import FpElem, PrimeField, QQ, UPolynomial
+from wps.exactmath import FpElem, PrimeField, QQ, upoly_string
 from wps.parser import parse_polynomial
 from wps.wpoly import (
     WPolynomial,
@@ -52,9 +52,23 @@ def test_term_order_in_to_string():
 
 
 @pytest.mark.parametrize(
+    "coeffs, text",
+    [
+        ([-1, 0, -3, 2, 0, 0, 1], "-1 - 3*t^2 + 2*t^3 + t^6"),
+        ([0, -1, 5, -1], "-t + 5*t^2 - t^3"),
+        ([Fraction(-1, 2), 0, Fraction(-7)], "-1/2 - 7*t^2"),
+    ],
+    ids=["int", "int-unit", "rational"],
+)
+def test_t_printer_signs(coeffs, text):
+    # a negative coefficient turns the sign before its term, int or rational alike
+    assert upoly_string(coeffs) == text
+
+
+@pytest.mark.parametrize(
     "x",
-    [UPolynomial(QQ, [1, 2]), WPolynomial((1, 2), PrimeField(7), {(2, 0): 3, (0, 1): 1})],
-    ids=["UPolynomial", "WPolynomial"],
+    [WPolynomial((1, 2), PrimeField(7), {(2, 0): 3, (0, 1): 1})],
+    ids=["WPolynomial"],
 )
 def test_power_squares_no_further_than_the_top_bit(x, monkeypatch):
     # square-and-multiply: a product per set bit of n, a square per bit below the top one
@@ -217,22 +231,24 @@ def test_restrict_to_edge_quartic_cover():
     f = parse_polynomial("x^4 + y^4 + z^2 + x*y*z", (1, 1, 2))
     cover = power_substitute(f)
     # edge 0: x = 0, y = 1, z = lambda
-    assert restrict_to_edge(cover, 0).to_string() == "1 + t^4"
-    assert restrict_to_edge(cover, 1).to_string() == "1 + t^4"
-    assert restrict_to_edge(cover, 2).to_string() == "1 + t^4"
+    assert restrict_to_edge(cover, 0) == [1, 0, 0, 0, 1]
+    assert [upoly_string(restrict_to_edge(cover, i)) for i in range(3)] == ["1 + t^4"] * 3
 
 
 def test_restrict_to_edge_c7():
     f = parse_polynomial("x^7 + y^2*z + x*z^2", (1, 2, 3))
     cover = power_substitute(f)
-    assert restrict_to_edge(cover, 0).to_string() == "t^3"
-    assert restrict_to_edge(cover, 1).to_string() == "t + t^7"
-    assert restrict_to_edge(cover, 2).to_string() == "1"
+    assert upoly_string(restrict_to_edge(cover, 0)) == "t^3"
+    assert upoly_string(restrict_to_edge(cover, 1)) == "t + t^7"
+    assert upoly_string(restrict_to_edge(cover, 2)) == "1"
 
 
 def test_restrict_to_edge_can_vanish():
     f = parse_polynomial("x*y*z", (1, 1, 1))
-    assert restrict_to_edge(f, 0).is_zero()
+    assert restrict_to_edge(f, 0) == []
+    # terms that cancel on the edge leave no trailing zeros
+    assert restrict_to_edge(parse_polynomial("x + y*z - y^2*z", (1, 1, 1)), 0) == []
+    assert restrict_to_edge(parse_polynomial("2 + y*z - y^2*z", (1, 1, 1)), 0) == [2]
 
 
 def test_restrict_to_edge_guards():
