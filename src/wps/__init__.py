@@ -46,7 +46,6 @@ from .weights import (
 from .wpoly import (
     WPolynomial,
     evaluate,
-    graded_decompose,
     is_weighted_homogeneous,
     partial,
     power_substitute,
@@ -71,11 +70,8 @@ from .geometry import (
     eq_geometric,
     eq_rational,
     normalize,
-    orbit,
     patch_equivalent,
     patch_representative,
-    roots_of_unity,
-    stabilizer_order,
 )
 from .curves import (
     PlaneCurve,
@@ -84,7 +80,6 @@ from .curves import (
     edge_point_count,
     genus,
     integrality_sweep,
-    is_singular_at,
     normalised_cover,
     riemann_hurwitz_check,
     straight_cover,

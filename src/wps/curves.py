@@ -14,7 +14,6 @@ from .errors import (
     InvalidDegreeWeight,
     Mismatch,
     NonIntegerGenus,
-    NotAConePoint,
     NotHomogeneous,
     NotSufficientlyGeneral,
     NotWellFormed,
@@ -26,7 +25,6 @@ from .wpoly import (
     WPolynomial,
     evaluate,
     is_weighted_homogeneous,
-    partial,
     power_substitute,
     restrict_to_edge,
     variable_names,
@@ -119,17 +117,6 @@ def vertex_membership(c: PlaneCurve) -> tuple[bool, bool, bool]:
             raise Mismatch(f"vertex rule disagrees with evaluation at p_{i}")
         out.append(claimed)
     return tuple(out)
-
-
-def is_singular_at(c: PlaneCurve, coords) -> bool:
-    """All three partials vanish at the given affine-cone point."""
-    field = c.poly.field
-    coords = [field.coerce(x) for x in coords]
-    if all(x == field.zero for x in coords):
-        raise NotAConePoint("the cone point must be nonzero")
-    return all(
-        evaluate(partial(c.poly, i), coords) == field.zero for i in range(3)
-    )
 
 
 def straight_cover(c: PlaneCurve) -> PlaneCurve:

@@ -7,10 +7,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import gcd
 
-from .errors import FieldMismatch, Mismatch, NotAConePoint, NotOnPatch, PrimeUnsuitable, Unsupported, check_work
-from .exactmath import QQ, FpElem, PrimeField, fp_roots, height
+from .errors import Mismatch, NotAConePoint, NotOnPatch, PrimeUnsuitable, Unsupported, check_work
+from .exactmath import QQ, PrimeField, fp_roots, height
 from .weights import Weight, check_weight
 
 
@@ -209,12 +209,6 @@ def cover_project(y: WPoint, target_weight: Weight) -> WPoint:
     return WPoint(a, tuple(c ** a[i] for i, c in enumerate(y.coords)), y.field)
 
 
-def roots_of_unity(p: int, n: int) -> list[FpElem]:
-    """All solutions of x^n = 1 in F_p (all n of them when p = 1 mod n), ascending."""
-    field = PrimeField(p)
-    return [field.coerce(x) for x in fp_roots(1, n, p)]
-
-
 def _group_elements(a: Weight, p: int) -> list[tuple[int, ...]]:
     """The elements of mu^{a_0} x ... x mu^{a_n} inside (F_p^*)^{n+1}, as residues."""
     for ai in a:
@@ -235,28 +229,6 @@ def _orbit_stabilizer(group, x: tuple[int, ...], p: int) -> tuple[set[tuple[int,
         seen.add(tuple(s * v * inv % p for s, v in zip(g, x)))
         stab += all(g[i] == g[i0] for i in support)
     return seen, stab
-
-
-def _straight_orbit(y: WPoint, a: Weight, p: int) -> tuple[set[tuple[int, ...]], int]:
-    """`_orbit_stabilizer` of y under G = prod mu^{a_i}, n coordinates moved
-    by each of the prod(a) group elements."""
-    a = check_weight(a)
-    if y.weight != (1,) * len(a):
-        raise Mismatch(f"the group acts on straight points, got weight {y.weight}")
-    if y.field != PrimeField(p):
-        raise FieldMismatch(f"the group over F_{p} acting on a point over {y.field}")
-    check_work(len(a) * prod(a), f"{prod(a)} group elements")
-    return _orbit_stabilizer(_group_elements(a, p), y.values, p)
-
-
-def stabilizer_order(y: WPoint, a: Weight, p: int) -> int:
-    """Order of the subgroup of G = prod mu^{a_i} fixing y in straight P^n."""
-    return _straight_orbit(y, a, p)[1]
-
-
-def orbit(y: WPoint, a: Weight, p: int) -> list[WPoint]:
-    """Distinct straight-projective points in the G-orbit of y, sorted."""
-    return [WPoint(y.weight, cs, y.field) for cs in sorted(_straight_orbit(y, a, p)[0])]
 
 
 def patch_representative(x: WPoint, i: int) -> list:

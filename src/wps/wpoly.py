@@ -191,18 +191,6 @@ def is_weighted_homogeneous(f: WPolynomial) -> int | None:
     return degrees.pop() if len(degrees) == 1 else None
 
 
-def graded_decompose(f: WPolynomial) -> dict[int, WPolynomial]:
-    """Split f into weighted-homogeneous parts, keyed by degree."""
-    if f.is_zero():
-        raise ZeroPolynomial("the zero polynomial has no graded parts")
-    buckets: dict[int, dict[Monomial, object]] = {}
-    for e, c in f.terms.items():
-        buckets.setdefault(monomial_degree(e, f.weight), {})[e] = c
-    return {
-        d: WPolynomial(f.weight, f.field, terms) for d, terms in sorted(buckets.items())
-    }
-
-
 def partial(f: WPolynomial, i: int) -> WPolynomial:
     """Formal partial derivative with respect to variable i."""
     if not 0 <= i < f.nvars():

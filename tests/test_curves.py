@@ -10,7 +10,6 @@ from wps.errors import (
     DegenerateEdge,
     InvalidDegreeWeight,
     Mismatch,
-    NotAConePoint,
     NotHomogeneous,
     NotSufficientlyGeneral,
     NotWellFormed,
@@ -24,7 +23,6 @@ from wps.curves import (
     branching_index,
     genus,
     integrality_sweep,
-    is_singular_at,
     normalised_cover,
     numeric_constraint_violations,
     riemann_hurwitz_check,
@@ -116,15 +114,6 @@ def test_vertex_membership_cross_check(monkeypatch):
     monkeypatch.setattr(wps.curves, "sufficiently_general", lambda c: (True, []))
     with pytest.raises(Mismatch, match="disagrees with evaluation at p_0"):
         vertex_membership(curve("x*y*z", (1, 1, 1)))
-
-
-def test_is_singular_at():
-    assert not is_singular_at(QUARTIC, (0, 0, 1))
-    cusp = curve("y^2*z - x^3", (1, 1, 1))
-    assert is_singular_at(cusp, (0, 0, 1))
-    assert not is_singular_at(cusp, (1, 1, 1))
-    with pytest.raises(NotAConePoint):
-        is_singular_at(cusp, (0, 0, 0))
 
 
 # === straight cover and edges ===

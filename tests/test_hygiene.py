@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wps"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wps"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -47,20 +48,51 @@ def _functions(tree):
         yield from [node] if isinstance(node, ast.FunctionDef) else node.body if isinstance(node, ast.ClassDef) else []
 
 
+# Library functions with no caller in src/wps, each restating paper content
+# that no other code restates; README's "Library-only functions" paragraph
+# says why each has no CLI or oracle route.
+LIBRARY_ONLY = {
+    "normalize",
+    "cover_project",
+    "patch_representative",
+    "patch_equivalent",
+    "complete_intersection_series",
+    "generator_discovery",
+}
+
+
 def test_every_function_is_called_or_exported():
     # a function or method that nothing in src/wps names outside its own
-    # definition, and that wps does not export, is dead code; dunder methods
-    # are called by the language
+    # definition is dead code unless it is in LIBRARY_ONLY: being exported
+    # alone does not count as a use.  A LIBRARY_ONLY name that gains a caller
+    # is a stale entry.  Dunder methods are called by the language
     trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
-    exported = set(_imported_names(trees.pop("__init__.py")))
+    del trees["__init__.py"]
     uses = sum(map(_referenced, trees.values()), Counter())
-    dead = sorted(
-        f"{name}: {fn.name}"
+    uncalled = [
+        (name, fn.name)
         for name, tree in trees.items()
         for fn in _functions(tree)
         if isinstance(fn, ast.FunctionDef)
         and not fn.name.startswith("__")
-        and fn.name not in exported
         and uses[fn.name] == _referenced(fn)[fn.name]
-    )
+    ]
+    dead = sorted(f"{name}: {fn}" for name, fn in uncalled if fn not in LIBRARY_ONLY)
     assert not dead, f"functions nothing calls: {dead}"
+    stale = sorted(LIBRARY_ONLY - {fn for _, fn in uncalled})
+    assert not stale, f"LIBRARY_ONLY names that have a caller or are gone: {stale}"
+
+
+def test_library_only_functions_are_documented():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### Library-only functions", 1)[1].split("\n#", 1)[0]
+    missing = sorted(name for name in LIBRARY_ONLY if f"`{name}`" not in section)
+    assert not missing, f"README's library-only paragraph does not name {missing}"
+
+
+@pytest.mark.parametrize("folder", ["src/wps", "tests", "bench"])
+def test_python_310_grammar(folder):
+    # CI's oldest interpreter is 3.10; this checks the grammar only, not
+    # which standard-library names exist there
+    for path in sorted((ROOT / folder).rglob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

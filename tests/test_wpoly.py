@@ -9,7 +9,6 @@ from wps.parser import parse_polynomial
 from wps.wpoly import (
     WPolynomial,
     evaluate,
-    graded_decompose,
     is_weighted_homogeneous,
     monomial_degree,
     partial,
@@ -115,14 +114,6 @@ def test_weighted_degree_and_homogeneity():
 def test_monomial_degree():
     assert monomial_degree((5, 0, 0), (12, 20, 30)) == 60
     assert monomial_degree((1, 1, 2), (1, 1, 2)) == 6
-
-
-def test_graded_decompose():
-    f = parse_polynomial("x^2 + y + x^3", (1, 1))
-    parts = graded_decompose(f)
-    assert sorted(parts) == [1, 2, 3]
-    assert parts[1] == parse_polynomial("y", (1, 1))
-    assert sum(parts.values(), WPolynomial((1, 1), QQ)) == f
 
 
 # === calculus and evaluation ===
