@@ -89,18 +89,16 @@ def _fold(a: Weight, values, chain, m: int | None):
     return G, R, relations
 
 
-def _geometric_key(a: Weight, values, m: int | None, chains: dict | None = None):
-    """(support, the values x^m of the fold's relations) of a vector of int
-    residues mod the prime m or of Fractions (m None).  Two vectors are one
-    point over the algebraic closure iff their keys are equal: the characters
-    x^m of the quotient torus separate its orbits.  `chains` caches a fold chain per support.
+def _geometric_keys(a: Weight, support: tuple[int, ...], block, m: int | None) -> list[tuple]:
+    """The values x^m of the fold's relations for each vector of a block sharing
+    the support, int residues mod the prime m or Fractions (m None).  Two vectors
+    are one point over the algebraic closure iff their supports and these keys are
+    equal: the characters x^m of the quotient torus separate its orbits.  The fold
+    chain is built once per support; each vector is folded along it.
     """
-    support = tuple(i for i, v in enumerate(values) if v)
-    chains = {} if chains is None else chains
-    if support not in chains:
-        chains[support] = _fold_chain(a, support)
-    quotients = [pow(rhs, -1, m) * lhs for lhs, rhs in _fold(a, values, chains[support], m)[2]]
-    return support, tuple(quotients if m is None else (t % m for t in quotients))
+    chain = _fold_chain(a, support)
+    quotients = ([pow(rhs, -1, m) * lhs for lhs, rhs in _fold(a, values, chain, m)[2]] for values in block)
+    return [tuple(q if m is None else (t % m for t in q)) for q in quotients]
 
 
 def _scaling_root(p: WPoint, q: WPoint):
@@ -217,18 +215,20 @@ def _group_elements(a: Weight, p: int) -> list[tuple[int, ...]]:
     return list(product(*(fp_roots(1, ai, p) for ai in a)))
 
 
-def _orbit_stabilizer(group, x: tuple[int, ...], p: int) -> tuple[set[tuple[int, ...]], int]:
-    """The orbit of the straight point x (residues mod p) under the elements
-    of `_group_elements`, each member scaled to first nonzero coordinate 1,
-    and the order of the stabilizer of x: the g constant on the support of x."""
-    support = [i for i, v in enumerate(x) if v]
+def _orbit_stabilizer(group, support: tuple[int, ...], block, p: int):
+    """The orbits, each member scaled to first nonzero coordinate 1, of the
+    straight points of a block sharing the support (residues mod p, x_i0 = 1 at
+    the first support index i0) under the elements of `_group_elements`, and
+    their stabilizer order: the number of g with g_i = g_i0 on the support.
+
+    Per support the elements are divided by their i0 entry and the stabilizer
+    order is counted; per point the orbit takes its image under every element.
+    """
     i0 = support[0]
-    seen, stab = set(), 0
-    for g in group:
-        inv = pow(g[i0] * x[i0], -1, p)
-        seen.add(tuple(s * v * inv % p for s, v in zip(g, x)))
-        stab += all(g[i] == g[i0] for i in support)
-    return seen, stab
+    inverses = [pow(g[i0], -1, p) for g in group]
+    moves = [tuple(s * u % p for s in g) for g, u in zip(group, inverses)]
+    stab = sum(all(g[i] == g[i0] for i in support) for g in group)
+    return ({tuple(s * v % p for s, v in zip(g, x)) for g in moves} for x in block), stab
 
 
 def patch_representative(x: WPoint, i: int) -> list:

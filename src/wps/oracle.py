@@ -16,7 +16,7 @@ from math import gcd, lcm, prod
 from .curves import PlaneCurve
 from .errors import check_length, check_work
 from .exactmath import PrimeField
-from .geometry import _geometric_key, _group_elements, _orbit_stabilizer
+from .geometry import _geometric_keys, _group_elements, _orbit_stabilizer
 from .hilbert import monomial_counts
 from .parser import parse_polynomial
 from .truncation import (
@@ -28,10 +28,15 @@ from .truncation import (
 from .weights import Weight, check_weight, parse_weight
 from .wpoly import monomial_string, partial, reduce_mod, variable_names
 
-def _straight_points(n: int, p: int) -> list[tuple[int, ...]]:
-    """The points of P^{n-1}(F_p), first nonzero coordinate 1, sorted: the
-    orbit minima of the straight weights in closed form."""
-    return [(0,) * k + (1,) + rest for k in range(n - 1, -1, -1) for rest in product(range(p), repeat=n - 1 - k)]
+def _support_blocks(n: int, p: int, lead):
+    """Each nonempty support S of n coordinates with its block: the residue
+    vectors with support S in lexicographic order, the first entry on S drawn
+    from `lead` and the others from 1..p-1.  With lead (1,) the blocks hold the
+    points of P^{n-1}(F_p): the orbit minima of the straight weights."""
+    for mask in islice(product((0, 1), repeat=n), 1, None):
+        axes = [range(1, p) if s else (0,) for s in mask]
+        axes[mask.index(1)] = lead
+        yield tuple(i for i, s in enumerate(mask) if s), list(product(*axes))
 
 
 class ClosureEquality:
@@ -39,57 +44,51 @@ class ClosureEquality:
 
     A solution lambda with lambda^(a_i) = y_i/x_i has p-free order dividing
     M = p-free part of (p-1)*lcm(a), so exponents modulo M against discrete
-    logs in F_p^* decide it completely.  Each vector gets a class key: its
-    support S, plus the lexicographically smallest member of the coset
-    L_x + <(a_i)_{i in S}> in Z_M^S, where L_x holds the discrete logs of
-    the x_i scaled into Z_M.  Two vectors are equivalent iff their keys are
-    equal.  A key costs O(n log M) gcd steps, so N vectors are classified
-    in O(N*n*log M) instead of an O(M) scan for each of the O(N^2) pairs.
+    logs in F_p^* decide it completely.  A vector's class key is its support S
+    with the lexicographically smallest member of the coset L_x + <(a_i)_{i in
+    S}> in Z_M^S, where L_x holds the discrete logs of the x_i scaled into Z_M.
+    Two vectors are equivalent iff their keys are equal.  `keys` takes a block
+    of vectors sharing S: the O(n log M) gcd steps of the coset's chain are per
+    support, and each vector then costs n table lookups, so N vectors are
+    classified in O(N*n) instead of an O(M) scan for each of the O(N^2) pairs.
     """
 
     def __init__(self, a: Weight, p: int):
         self.a = check_weight(a)
-        self.p = p
-        field = PrimeField(p)
-        self.m = p - 1
-        g0 = field.primitive_root().value
-        table = {1: 0}
-        t = 1
-        for e in range(1, self.m):
-            t = t * g0 % p
-            table[t] = e
-        self._dlog = table
-        big = self.m * lcm(*self.a)
+        g0 = PrimeField(p).primitive_root().value
+        big = (p - 1) * lcm(*self.a)
         while big % p == 0:
             big //= p
-        self.M = big
-        self._chains: dict = {}  # support -> the steps of `key`
+        self.M, t, self._logs = big, 1, {1: 0}  # residue -> its discrete log scaled into Z_M
+        for e in range(1, p - 1):
+            t = t * g0 % p
+            self._logs[t] = e * big // (p - 1)
 
-    def key(self, x: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(support, least member of L_x + <(a_i)_{i in S}>) for a vector x.
+    def keys(self, support: tuple[int, ...], block) -> list[tuple[int, ...]]:
+        """The least member of L_x + <(a_i)_{i in S}> for each residue vector x of
+        a block with support S.
 
-        The least member is fixed one coordinate at a time: the shifts t
-        that keep the coordinates so far at their minima form the coset
-        t0 + <step> of Z_M, and over it coordinate i takes the values
-        c + g*Z, g = gcd(step*a_i, M), whose least residue c mod g the shift
-        t0 - (c//g)*u reaches; (i, g, u) depend only on the support, kept per support.
+        The least member is fixed one coordinate at a time: the shifts t that
+        keep the coordinates so far at their minima form the coset t0 + <step>
+        of Z_M, and over it coordinate i takes the values c + g*Z, g =
+        gcd(step*a_i, M), whose least residue c mod g the shift t0 - (c//g)*u
+        reaches.  The chain of (i, g, u) is built once for the support.
         """
-        p, M = self.p, self.M
-        k = M // self.m
-        support = tuple(i for i in range(len(self.a)) if x[i] % p != 0)
-        if support not in self._chains:
-            step, chain = 1, self._chains.setdefault(support, [])
-            for i in support:
-                r = step * self.a[i] % M
-                g = gcd(r, M)
-                chain.append((i, g, pow(r // g, -1, M // g) * step % M))
-                step = gcd(step * M // g, M)
-        t0, least = 0, []
-        for i, g, u in self._chains[support]:
-            c = (self._dlog[x[i] % p] * k + t0 * self.a[i]) % M
-            t0 = (t0 - c // g * u) % M
-            least.append(c % g)
-        return support, tuple(least)
+        M, logs, step, chain = self.M, self._logs, 1, []
+        for i in support:
+            r = step * self.a[i] % M
+            g = gcd(r, M)
+            chain.append((i, self.a[i], g, pow(r // g, -1, M // g) * step % M))
+            step = gcd(step * M // g, M)
+        keys = []
+        for x in block:
+            t0, least = 0, []
+            for i, ai, g, u in chain:
+                c = (logs[x[i]] + t0 * ai) % M
+                t0 = (t0 - c // g * u) % M
+                least.append(c % g)
+            keys.append(tuple(least))
+        return keys
 
 
 def _pairs(sizes) -> int:
@@ -100,41 +99,44 @@ def _pairs(sizes) -> int:
 def verify_point_equality(a: Weight, p: int) -> dict:
     """Compare the key eq_geometric compares with the closure key on every vector pair.
 
-    A pair mismatches when exactly one key agrees, so with pair(c) = sum
-    c(c+1)/2 over a grouping the count is pair(geometric) + pair(closure) -
-    2 pair(both), O(N) for N vectors.  The recorded rows are the first 20
-    mismatching pairs, vectors in lexicographic order; both vectors of one
-    lie in classes that differ.
-    Each vector takes a closure-key step and a fold step per coordinate.
+    Vectors are taken one support S at a time; keys of different supports
+    differ.  Per support: the fold chain, the closure-key chain and the class
+    counts.  Per vector: a fold step and a closure-key step per coordinate.  A
+    pair mismatches when exactly one key agrees, so with pair(c) = sum c(c+1)/2
+    over a grouping the count is pair(geometric) + pair(closure) - 2 pair(both),
+    O(N) for N vectors.  The recorded rows are the first 20 mismatching pairs,
+    vectors in lexicographic order; both vectors of one lie in classes that
+    differ, so only those are sorted.
     """
     a = check_weight(a)
     n = len(a)
     check_work((n + 1) * (p**n - 1), f"{n + 1} steps for each of {p}^{n} - 1 vectors")
-    vectors = [vec for vec in product(range(p), repeat=n) if any(vec)]
     oracle = ClosureEquality(a, p)
-    folds: dict = {}  # support -> fold chain, at most 2^n - 1 entries, as ClosureEquality keeps its own
-    geo = [_geometric_key(a, vec, p, folds) for vec in vectors]
-    clo = [oracle.key(vec) for vec in vectors]
-    geo_n, clo_n, cells = Counter(geo), Counter(clo), Counter(zip(geo, clo))
-    mismatch_count = _pairs(geo_n.values()) + _pairs(clo_n.values()) - 2 * _pairs(cells.values())
-    mixed = [i for i, (g, c) in enumerate(zip(geo, clo)) if not geo_n[g] == clo_n[c] == cells[g, c]]
-    rows = ((i, j) for i in mixed for j in mixed if j > i and (geo[i] == geo[j]) != (clo[i] == clo[j]))
-    mismatches = [
-        dict(x=list(vectors[i]), y=list(vectors[j]), geometric=geo[i] == geo[j], closure=clo[i] == clo[j])
-        for i, j in islice(rows, 20)
-    ]
+    mismatch_count, mixed = 0, []
+    for support, block in _support_blocks(n, p, range(1, p)):
+        geo, clo = _geometric_keys(a, support, block, p), oracle.keys(support, block)
+        geo_n, clo_n, cells = Counter(geo), Counter(clo), Counter(zip(geo, clo))
+        mismatch_count += _pairs(geo_n.values()) + _pairs(clo_n.values()) - 2 * _pairs(cells.values())
+        mixed += [(x, (support, g), (support, c)) for x, g, c in zip(block, geo, clo) if not geo_n[g] == clo_n[c] == cells[g, c]]
+    mixed.sort()
+    rows = ((x, y, g == h, c == d) for k, (x, g, c) in enumerate(mixed) for y, h, d in mixed[k + 1 :] if (g == h) != (c == d))
     return {
         "weights": list(a),
         "p": p,
-        "pairs": len(vectors) * (len(vectors) + 1) // 2,
+        "pairs": (p**n - 1) * p**n // 2,  # N(N + 1)/2 for the N = p^n - 1 vectors
         "mismatch_count": mismatch_count,
-        "mismatches": mismatches,
+        "mismatches": [dict(x=list(x), y=list(y), geometric=ge, closure=cl) for x, y, ge, cl in islice(rows, 20)],
     }
 
 
 def verify_orbit_stabilizer(a: Weight, p: int) -> dict:
-    """|orbit| * |stabilizer| = a_0...a_n for every straight projective point;
-    each point is built and moved by every group element, n coordinates each."""
+    """|orbit| * |stabilizer| = a_0...a_n for every straight projective point.
+
+    Points are taken one support at a time.  Per support: the group elements
+    divided by their entry at the first support index, and the stabilizer
+    order.  Per point: its orbit, built from every group element, n
+    coordinates each.  Failures are listed in point order.
+    """
     a = check_weight(a)
     PrimeField(p)  # a modulus that is not prime raises before any work
     n, group_order = len(a), prod(a)
@@ -142,17 +144,15 @@ def verify_orbit_stabilizer(a: Weight, p: int) -> dict:
     check_work(n * (group_order + 1) * count, f"{group_order} group elements times {count} points")
     group = _group_elements(a, p)
     failures = []
-    points = _straight_points(n, p)
-    for x in points:
-        seen, stab = _orbit_stabilizer(group, x, p)
-        if len(seen) * stab != group_order:
-            failures.append({"point": list(x), "orbit": len(seen), "stabilizer": stab})
+    for support, block in _support_blocks(n, p, (1,)):
+        orbits, stab = _orbit_stabilizer(group, support, block, p)
+        failures += [{"point": list(x), "orbit": len(seen), "stabilizer": stab} for x, seen in zip(block, orbits) if len(seen) * stab != group_order]
     return {
         "weights": list(a),
         "p": p,
-        "points": len(points),
+        "points": count,
         "group_order": group_order,
-        "failures": failures,
+        "failures": sorted(failures, key=lambda row: row["point"]),
     }
 
 

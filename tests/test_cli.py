@@ -616,6 +616,13 @@ def test_requests_under_the_budget_still_answer(capsys, tmp_path):
     assert code == 0 and out[-1] == "1/1 checks passed"
     code, out, _ = run(capsys, "genus", "--sweep")
     assert code == 0 and out == ["checked=777 failures=0"]
+    # the two F_p verifiers just under the limit: 3 * (283^2 - 1) = 240,264 and 3 * 217 * 381 = 248,031 steps
+    for line in ("verify=point_equality weights=1,1 p=283", "verify=orbit_stabilizer weights=6,6,6 p=19"):
+        manifest.write_text(line + "\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "oracle", "run", "--manifest", str(manifest))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out[-1] == "1/1 checks passed"
     # (1 - t)^198: 200 passes of 401 steps, then 198 exact divisions by 1 - t (29 s over Fractions)
     start = time.perf_counter()
     code, out, _ = run(capsys, "hilbert", "numerator", "--weights", ",".join(["1"] * 200), "--genus", "0", "--deg", "1")

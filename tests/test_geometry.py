@@ -10,7 +10,7 @@ from wps.errors import Mismatch, NotAConePoint, NotOnPatch, PrimeUnsuitable, Too
 from wps.exactmath import FpElem, PrimeField, QQ
 from wps.geometry import (
     WPoint,
-    _geometric_key,
+    _geometric_keys,
     _group_elements,
     _int_root,
     _orbit_stabilizer,
@@ -22,6 +22,8 @@ from wps.geometry import (
     patch_representative,
 )
 from wps.oracle import ClosureEquality
+
+from support_blocks import keyed
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -194,9 +196,12 @@ def test_cover_project():
 
 
 def _orbit(y, a, p):
-    """The sorted orbit of the straight point y and its stabilizer order."""
-    seen, stab = _orbit_stabilizer(_group_elements(a, p), y.values, p)
-    return sorted(seen), stab
+    """The sorted orbit of the straight point y and its stabilizer order, y
+    scaled to first nonzero coordinate 1 for the one-point block."""
+    support = tuple(i for i, v in enumerate(y.values) if v)
+    inv = pow(y.values[support[0]], -1, p)
+    orbits, stab = _orbit_stabilizer(_group_elements(a, p), support, [tuple(v * inv % p for v in y.values)], p)
+    return sorted(next(orbits)), stab
 
 
 def test_stabilizer_orbit_frozen():
@@ -329,8 +334,8 @@ def test_fp_equality_matches_closure_keys_and_unit_scan(case):
     a, p, x, y = case
     field = PrimeField(p)
     px, py = WPoint(a, x, field), WPoint(a, y, field)
-    keys = ClosureEquality(a, p)
-    assert eq_geometric(px, py) == (keys.key(tuple(x)) == keys.key(tuple(y)))
+    kx, ky = keyed(ClosureEquality(a, p).keys, [x, y])
+    assert eq_geometric(px, py) == (kx == ky)
     assert eq_rational(px, py) == _ref_eq_rational(px, py)
 
 
@@ -349,11 +354,15 @@ while len(KEY_CASES) < 32:
 def test_geometric_key_classes_are_closure_classes(a, p):
     # the key eq_geometric compares and the closure key split the nonzero
     # vectors into the same classes, so they agree on every pair
-    closure = ClosureEquality(a, p)
+    closure = ClosureEquality(a, p).keys
+
+    def geometric(support, block):
+        return _geometric_keys(a, support, block, p)
+
+    vectors = [v for v in product(range(p), repeat=len(a)) if any(v)]
     classes = {}
-    for v in product(range(p), repeat=len(a)):
-        if any(v):
-            classes.setdefault(_geometric_key(a, v, p), set()).add(closure.key(v))
+    for g, c in zip(keyed(geometric, vectors), keyed(closure, vectors)):
+        classes.setdefault(g, set()).add(c)
     assert all(len(c) == 1 for c in classes.values())
     assert len(set().union(*classes.values())) == len(classes)
     rng = random.Random(hash((a, p)))
@@ -362,10 +371,10 @@ def test_geometric_key_classes_are_closure_classes(a, p):
     for x in sample[:]:
         for lam in (p - 1, (p + 1) // 2):
             sample.append(WPoint(a, [pow(lam, ai, p) * c for ai, c in zip(a, x.values)], field))
-    for x in sample:
-        for y in sample:
-            same_key = _geometric_key(a, x.values, p) == _geometric_key(a, y.values, p)
-            assert same_key == eq_geometric(x, y) == (closure.key(x.values) == closure.key(y.values)), (x, y)
+    geo, clo = (keyed(f, [x.values for x in sample]) for f in (geometric, closure))
+    for i, x in enumerate(sample):
+        for j, y in enumerate(sample):
+            assert (geo[i] == geo[j]) == eq_geometric(x, y) == (clo[i] == clo[j]), (x, y)
 
 
 # === affine patches ===

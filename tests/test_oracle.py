@@ -16,7 +16,7 @@ from wps.exactmath import QQ, PrimeField
 from wps.geometry import WPoint, eq_geometric, eq_rational, normalize
 from wps.oracle import (
     ClosureEquality,
-    _straight_points,
+    _support_blocks,
     parse_manifest,
     run_job,
     run_manifest,
@@ -29,6 +29,8 @@ from wps.parser import parse_polynomial
 from wps.truncation import graded_piece_basis, veronese_generators
 from wps.weights import is_well_formed
 from wps.wpoly import WPolynomial, evaluate, monomial_string, partial, reduce_mod, variable_names
+
+from support_blocks import keyed
 
 MANIFEST = Path(__file__).resolve().parent.parent / "manifests" / "default.manifest"
 
@@ -52,7 +54,7 @@ def test_point_counts(a, p, count):
     # the F_p^*-orbits of the nonzero vectors: for (1, 1) the points of P^1 in
     # closed form, over three weights the orbit total of a curve scan (of x = 0)
     if len(a) == 2:
-        assert len(_straight_points(2, p)) == count
+        assert sum(len(block) for _, block in _support_blocks(2, p, (1,))) == count
     else:
         assert scan_curve_points(PlaneCurve(parse_polynomial("x", a)), p)["total_points"] == count
 
@@ -141,7 +143,11 @@ def test_veronese_budget_counts_monomials_and_scan_prefixes():
 
 
 def test_closure_equality_direct():
-    key = ClosureEquality((1, 1, 2), 5).key
+    eq = ClosureEquality((1, 1, 2), 5)
+
+    def key(x):
+        return keyed(eq.keys, [x])[0]
+
     assert key((0, 0, 1)) == key((0, 0, 2)), "2 is a square in the closure"
     assert key((1, 0, 0)) == key((2, 0, 0))
     assert key((1, 1, 1)) == key((2, 2, 4))
@@ -202,7 +208,7 @@ def test_closure_key_matches_pair_scan(a, p):
     eq = ClosureEquality(a, p)
     ref = _ScanEquality(a, p)
     vectors = [v for v in product(range(p), repeat=len(a)) if any(v)]
-    keys = [eq.key(v) for v in vectors]
+    keys = keyed(eq.keys, vectors)
     for x, (_, least) in zip(vectors, keys):
         assert least == ref.least(x), x
     for i, x in enumerate(vectors):
@@ -218,7 +224,7 @@ def test_closure_key_is_least_coset_member():
         eq, ref = ClosureEquality(a, p), _ScanEquality(a, p)
         for _ in range(8):
             x = tuple(rng.randrange(p) for _ in a)
-            assert eq.key(x)[1] == ref.least(x), (a, p, x)
+            assert keyed(eq.keys, [x])[0][1] == ref.least(x), (a, p, x)
 
 
 def test_enumeration_matches_orbit_minima():
@@ -239,18 +245,18 @@ def test_enumeration_matches_orbit_minima():
 def test_closure_classes_count_projective_points(a, p):
     # the F_p-points of P(a) number (p^n - 1)/(p - 1), as for P^{n-1}
     eq = ClosureEquality(a, p)
-    keys = {eq.key(v) for v in product(range(p), repeat=len(a)) if any(v)}
+    keys = set(keyed(eq.keys, [v for v in product(range(p), repeat=len(a)) if any(v)]))
     assert len(keys) == (p ** len(a) - 1) // (p - 1)
 
 
 def test_closure_equality_is_equivalence():
     # equal keys are an equivalence by construction; its classes hold the F_p^*-orbits
     a, p = (1, 2), 5
-    key = ClosureEquality(a, p).key
+    eq = ClosureEquality(a, p)
     vectors = [(x, y) for x in range(p) for y in range(p) if (x, y) != (0, 0)]
     for v in vectors:
-        for lam in range(1, p):
-            assert key(tuple(pow(lam, ai, p) * x % p for ai, x in zip(a, v))) == key(v), (v, lam)
+        scaled = [tuple(pow(lam, ai, p) * x % p for ai, x in zip(a, v)) for lam in range(1, p)]
+        assert set(keyed(eq.keys, scaled)) == set(keyed(eq.keys, [v])), v
 
 
 # === the three verifiers ===
@@ -266,14 +272,14 @@ def test_point_equality_matches_closure(a, p):
 def _ref_point_equality(a, p):
     # the N^2 pair loop that class counting replaced
     field = PrimeField(p)
-    oracle = ClosureEquality(a, p)
     vectors = [v for v in product(range(p), repeat=len(a)) if any(v)]
+    keys = keyed(ClosureEquality(a, p).keys, vectors)
     points = [WPoint(a, v, field) for v in vectors]
     count, rows = 0, []
     for i in range(len(vectors)):
         for j in range(i, len(vectors)):
             geo = eq_geometric(points[i], points[j])
-            truth = oracle.key(vectors[i]) == oracle.key(vectors[j])
+            truth = keys[i] == keys[j]
             if geo != truth:
                 count += 1
                 if len(rows) < 20:
@@ -302,7 +308,8 @@ def test_point_equality_matches_pair_loop(a, p, monkeypatch):
     field = PrimeField(p)
     for row in report["mismatches"]:
         x, y = WPoint(a, row["x"], field), WPoint(a, row["y"], field)
-        assert row["geometric"] == eq_geometric(x, y) != (oracle.key(tuple(row["x"])) == oracle.key(tuple(row["y"])))
+        kx, ky = keyed(oracle.keys, [row["x"], row["y"]])
+        assert row["geometric"] == eq_geometric(x, y) != (kx == ky)
 
 
 def test_point_equality_pair_count():
@@ -322,7 +329,44 @@ def test_orbit_stabilizer_product(a, p, points):
 
 @pytest.mark.parametrize("n, p", [(2, 2), (2, 7), (3, 3), (3, 5), (4, 3)])
 def test_straight_points_are_orbit_minima(n, p):
-    assert _straight_points(n, p) == [x.values for x in _ref_enumerate((1,) * n, p)]
+    # each block is sorted and has its support; together they are the orbit minima
+    points = []
+    for support, block in _support_blocks(n, p, (1,)):
+        assert block == sorted(block) and all(tuple(i for i, v in enumerate(x) if v) == support for x in block)
+        points += block
+    assert sorted(points) == [x.values for x in _ref_enumerate((1,) * n, p)]
+
+
+def _ref_orbit_failures(a, p, group):
+    # each straight point moved by every element of the group, one at a time,
+    # and scaled back to first nonzero coordinate 1; the elements that bring
+    # it back to itself are its stabilizer
+    failures = []
+    for x in (pt.values for pt in _ref_enumerate((1,) * len(a), p)):
+        i0 = next(i for i, v in enumerate(x) if v)
+        moved = [tuple(s * v * pow(g[i0] * x[i0], -1, p) % p for s, v in zip(g, x)) for g in group]
+        if len(set(moved)) * moved.count(x) != prod(a):
+            failures.append({"point": list(x), "orbit": len(set(moved)), "stabilizer": moved.count(x)})
+    return failures
+
+
+@pytest.mark.parametrize("a, p", [((1, 2, 3), 7), ((2, 2, 3), 7), ((2, 4), 13), ((3, 6, 2), 13)])
+@pytest.mark.parametrize("how", ["drop one element", "one non-root"])
+def test_orbit_verifier_catches_a_broken_action(a, p, how, monkeypatch):
+    # the stabilizer order is counted once per support; the failure rows for a
+    # broken group still equal those of a count made point by point
+    group = wps.oracle._group_elements(a, p)
+    if how == "drop one element":
+        broken = group[:-1]
+    else:
+        k = len(group) // 2
+        non_root = next(u for u in range(2, p) if pow(u, a[0], p) != 1)
+        broken = group[:k] + [(non_root, *group[k][1:])] + group[k + 1 :]
+    monkeypatch.setattr(wps.oracle, "_group_elements", lambda a, p: broken)
+    report = verify_orbit_stabilizer(a, p)
+    assert report["failures"]
+    assert report["failures"] == _ref_orbit_failures(a, p, broken)
+    assert _ref_orbit_failures(a, p, group) == []
 
 
 def test_orbit_stabilizer_needs_suitable_prime():
@@ -547,8 +591,8 @@ def _closure_point_count(c, p):
     # F_p-points as distinct closure classes of the F_p-vectors on the curve
     f = reduce_mod(c.poly, p)
     field, oracle = f.field, ClosureEquality(c.weight, p)
-    on = (x for x in product(range(p), repeat=3) if any(x) and evaluate(f, [field.coerce(v) for v in x]) == field.zero)
-    return len({oracle.key(x) for x in on})
+    on = [x for x in product(range(p), repeat=3) if any(x) and evaluate(f, [field.coerce(v) for v in x]) == field.zero]
+    return len(set(keyed(oracle.keys, on)))
 
 
 def test_rational_points_match_closure_classes():
