@@ -21,7 +21,7 @@ from .curves import (
     sufficiently_general,
     vertex_membership,
 )
-from .errors import ParseError, WPSError, check_length
+from .errors import ParseError, WPSError, check_digits, check_length
 from .exactmath import QQ, PrimeField, upoly_string
 from .geometry import WPoint, eq_geometric, eq_rational
 from .hilbert import (
@@ -32,6 +32,7 @@ from .hilbert import (
     numerator_degree_bound,
     numerator_from_sequence,
 )
+from .oracle import run_manifest
 from .parser import parse_point_coords, parse_polynomial, parse_upolynomial
 from .truncation import regraded_degrees, straighten_chain, veronese_generators
 from .weights import parse_weight, well_form
@@ -124,6 +125,7 @@ def cmd_genus(args, parser):
         parser.error("genus needs --weights and --degree (or --sweep)")
     g = genus(args.degree, args.weights)
     b = branching_index(args.degree, args.weights)
+    check_digits((g, b), "the genus or branching index")
     data = {"weights": list(args.weights), "d": args.degree, "genus": g, "b": b}
     return True, [f"genus={g} b={b}"], data
 
@@ -231,6 +233,7 @@ def cmd_hilbert_expand(args, parser):
     num = parse_upolynomial(args.numerator)
     series = HilbertSeries(num, args.weights)
     coeffs = series.expand(args.n)
+    check_digits(coeffs, f"a coefficient of the expansion to degree {args.n}")
     data = {
         "series": series.to_string(),
         "n": args.n,
@@ -297,8 +300,6 @@ def cmd_eq(args, parser):
 
 
 def cmd_oracle_run(args, parser):
-    from .oracle import run_manifest
-
     with open(args.manifest, encoding="utf-8") as fh:
         text = fh.read()
     report = run_manifest(text)

@@ -89,16 +89,15 @@ def _fold(a: Weight, values, chain, m: int | None):
     return G, R, relations
 
 
-def _geometric_keys(a: Weight, support: tuple[int, ...], block, m: int | None) -> list[tuple]:
-    """The values x^m of the fold's relations for each vector of a block sharing
-    the support, int residues mod the prime m or Fractions (m None).  Two vectors
-    are one point over the algebraic closure iff their supports and these keys are
-    equal: the characters x^m of the quotient torus separate its orbits.  The fold
-    chain is built once per support; each vector is folded along it.
+def _geometric_keys(a: Weight, support: tuple[int, ...], block, p: int) -> list[tuple]:
+    """The values x^m of the fold's relations, int residues mod the prime p, for
+    each vector of a block sharing the support.  Two vectors are one point over
+    the algebraic closure iff their supports and these keys are equal: the
+    characters x^m of the quotient torus separate its orbits.  The fold chain is
+    built once per support; each vector is folded along it.
     """
     chain = _fold_chain(a, support)
-    quotients = ([pow(rhs, -1, m) * lhs for lhs, rhs in _fold(a, values, chain, m)[2]] for values in block)
-    return [tuple(q if m is None else (t % m for t in q)) for q in quotients]
+    return [tuple(pow(rhs, -1, p) * lhs % p for lhs, rhs in _fold(a, values, chain, p)[2]) for values in block]
 
 
 def _scaling_root(p: WPoint, q: WPoint):

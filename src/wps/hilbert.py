@@ -5,7 +5,7 @@ numerator report.
 
 from __future__ import annotations
 
-from .errors import AmbiguousLowDegree, NumeratorNotPolynomial, check_digits, check_work
+from .errors import AmbiguousLowDegree, NumeratorNotPolynomial, check_work
 from .exactmath import upoly_string
 from .weights import check_weight
 
@@ -35,7 +35,7 @@ class HilbertSeries:
         self.denominator_weights = check_weight(denominator_weights, 1)
 
     def expand(self, n: int) -> list[int]:
-        return expand(self, n)
+        return expand(self.numerator, self.denominator_weights, n)
 
     def to_string(self) -> str:
         num = upoly_string(self.numerator)
@@ -57,32 +57,21 @@ class HilbertSeries:
         return f"HilbertSeries({self.to_string()})"
 
 
-def expand(s: HilbertSeries, n: int) -> list[int]:
-    """Coefficients c_0..c_n of the power series, as exact integers.
+def expand(numerator: list[int], a, n: int) -> list[int]:
+    """Coefficients c_0..c_n of the power series N(t) / prod(1 - t^{a_i}), as
+    exact integers, for the integer coefficient list N and positive weights a.
 
     One pass of n + 1 steps per factor 1/(1-t^{a_i}), each step counted once
     per 64-bit word of the largest numerator coefficient: the coefficients
-    are that large, and callers that write them out in decimal pay for each.
+    are that large.  With numerator [1] c_k counts the monomials of weighted
+    degree k.  Callers that write the coefficients in decimal check their size.
     """
     if n < 0:
         raise ValueError("expansion length must be non-negative")
-    num, a = s.numerator, s.denominator_weights
-    words = max(1, -(-max(map(abs, num), default=0).bit_length() // 64))
+    words = max(1, -(-max(map(abs, numerator), default=0).bit_length() // 64))
     what = f"series expansion to degree {n}" + (f" with {words}-word coefficients" if words > 1 else "")
     check_work(len(a) * (n + 1) * words, what)
-    c = num[: n + 1] + [0] * max(0, n + 1 - len(num))
-    for w in a:
-        _times(c, w, -1)
-    check_digits(c, f"a coefficient of the expansion to degree {n}")
-    return c
-
-
-def monomial_counts(a, n: int) -> list[int]:
-    """The number of monomials of each weighted degree 0..n over the weights
-    a: the coefficients of 1/prod(1 - t^{a_i}), one pass of n + 1 per weight."""
-    a = check_weight(a, 1)
-    check_work(len(a) * (n + 1), f"monomial counts to degree {n} over {len(a)} weights")
-    c = [1] + [0] * n
+    c = numerator[: n + 1] + [0] * max(0, n + 1 - len(numerator))
     for w in a:
         _times(c, w, -1)
     return c

@@ -17,7 +17,7 @@ from .curves import PlaneCurve
 from .errors import check_length, check_work
 from .exactmath import PrimeField
 from .geometry import _geometric_keys, _group_elements, _orbit_stabilizer
-from .hilbert import monomial_counts
+from .hilbert import expand
 from .parser import parse_polynomial
 from .truncation import (
     _divides,
@@ -175,7 +175,7 @@ def verify_veronese(a: Weight, d: int, p: int | None = None, cap: int | None = N
     n = len(a)
     if cap is None:
         cap = d * lcm(*a) * n
-    monomials, suffixes = (sum(monomial_counts(w, max(cap, 0))[d::d]) for w in (a, (1, *a[1:])))
+    monomials, suffixes = (sum(expand([1], w, max(cap, 0))[d::d]) for w in (a, (1, *a[1:])))
     check_work(monomials + suffixes, f"{monomials} monomials of degree divisible by {d} up to {cap}")
     # reduce e_i mod d_i only where d_i*u_i is a generator; mod cap + 1 > e_i the others stay whole
     di = [d // gcd(x, d) for x in a]

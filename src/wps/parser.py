@@ -63,14 +63,13 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, weight: Weight, field):
+    def __init__(self, text: str, weight: Weight):
         self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
         self.depth = 0
         self.work = 0  # steps spent on products and powers so far
         self.weight = tuple(weight)
-        self.field = field
         self.names = variable_names(len(self.weight))
 
     def peek(self) -> _Token | None:
@@ -106,7 +105,7 @@ class _Parser:
             for e, c in self.term().terms.items():
                 out[e] = out.get(e, 0) + (c if sign == "+" else -c)
             if (tok := self.peek()) is None or tok.kind not in "+-":
-                return WPolynomial(self.weight, self.field, out)
+                return WPolynomial(self.weight, QQ, out)
             sign = self.take().kind
 
     def term(self) -> WPolynomial:
@@ -162,21 +161,14 @@ class _Parser:
                 if int(den.text) == 0:
                     raise ParseError("zero denominator", den.pos)
                 value = value / int(den.text)
-            return self.constant(value, tok.pos)
+            return WPolynomial(self.weight, QQ, {(0,) * len(self.weight): value})
         if tok.kind == "name":
             self.take()
             idx = self.var_index(tok)
             e = [0] * len(self.weight)
             e[idx] = 1
-            return WPolynomial(self.weight, self.field, {tuple(e): 1})
+            return WPolynomial(self.weight, QQ, {tuple(e): 1})
         raise ParseError(f"unexpected {tok.text!r}", tok.pos)
-
-    def constant(self, value: Fraction, pos: int) -> WPolynomial:
-        try:
-            c = self.field.coerce(value)
-        except Exception:
-            raise ParseError(f"coefficient {value} is not valid over {self.field}", pos)
-        return WPolynomial(self.weight, self.field, {(0,) * len(self.weight): c})
 
     def var_index(self, tok: _Token) -> int:
         name = tok.text
@@ -195,15 +187,16 @@ class _Parser:
         )
 
 
-def parse_polynomial(text: str, weight: Weight, field=QQ) -> WPolynomial:
-    """Parse text into a canonical WPolynomial (like terms combined)."""
-    return _Parser(text, weight, field).parse()
+def parse_polynomial(text: str, weight: Weight) -> WPolynomial:
+    """Parse text into a canonical WPolynomial over Q (like terms combined);
+    `wpoly.reduce_mod` takes it to F_p."""
+    return _Parser(text, weight).parse()
 
 
 def parse_upolynomial(text: str) -> list[Fraction]:
     """Parse a univariate polynomial in t, e.g. '1 - t^6', into its dense list
     of rational coefficients, constant first, no trailing zeros."""
-    parser = _Parser(text, (1,), QQ)
+    parser = _Parser(text, (1,))
     parser.names = ["t"]
     terms = parser.parse().terms
     top = max((e[0] for e in terms), default=-1)

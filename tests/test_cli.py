@@ -480,6 +480,7 @@ def test_expand_counts_the_words_of_large_coefficients(capsys, weights, n):
         ["straighten", "--weights", "1,2,2", "--poly", "(10)^2000*x^3+x*y"],  # (10^2000)^2 after squaring
         ["hilbert", "expand", "--weights", "1,1,1,1,1,1,1,1", "--numerator", "(10)^3995", "-N", "20"],  # 10^3995 * C(27, 7)
         ["eq", "--weights", "1,1", "--field", "q", "1:" + "7" * 4500, "1:2"],
+        ["genus", "--weights", "1,2,3", "--degree", "1" + "0" * 3990],  # a 7,979-digit genus
     ],
 )
 def test_integers_past_the_digit_limit_are_refused_alike(capsys, argv):

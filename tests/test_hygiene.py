@@ -28,6 +28,25 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports {unused} and never uses them"
 
 
+def test_package_binds_only_its_modules():
+    # public names are imported from their module; a flat `wps.*` namespace
+    # would be a second path to each of them
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    modules = {path.stem for path in MODULES}
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue  # the docstring
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__version__"]:
+            continue
+        else:
+            bound.append(ast.unparse(node))
+    stray = sorted(set(bound) - modules)
+    assert not stray, f"src/wps/__init__.py binds more than its modules and __version__: {stray}"
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_one_work_budget(path):
     # errors.WORK_LIMIT is the only size limit: no caches and no other scan limits

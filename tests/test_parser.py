@@ -7,7 +7,7 @@ from wps.errors import ParseError, TooLarge, UnknownVariable
 from wps.exactmath import PrimeField, QQ, upoly_string
 from wps.parser import parse_point_coords, parse_polynomial, parse_upolynomial
 from wps.truncation import graded_piece_basis
-from wps.wpoly import WPolynomial
+from wps.wpoly import WPolynomial, reduce_mod
 
 # === polynomial round trips ===
 
@@ -48,11 +48,15 @@ def test_print_then_parse_randomized():
         assert parse_polynomial(f.to_string(), a) == f, f.to_string()
 
 
+def fp_poly(text, weight, p):
+    return reduce_mod(parse_polynomial(text, weight), p)
+
+
 def test_parse_over_prime_field():
-    f = parse_polynomial("x^2 + 6*y^2", (1, 1), PrimeField(3))
-    assert f == parse_polynomial("x^2", (1, 1), PrimeField(3))
-    g = parse_polynomial("1/2*x", (1, 1), PrimeField(5))
-    assert g == parse_polynomial("3*x", (1, 1), PrimeField(5))
+    f = fp_poly("x^2 + 6*y^2", (1, 1), 3)
+    assert f == fp_poly("x^2", (1, 1), 3)
+    g = fp_poly("1/2*x", (1, 1), 5)
+    assert g == fp_poly("3*x", (1, 1), 5)
 
 
 def test_rational_literal_needs_integer_parts():
